@@ -16,7 +16,7 @@ import sys
 
 from mpmath import mpf
 
-from .errors import CartanGammaError
+from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
 from .jacobi import (find_site, hecke_value, jacobi_sum, psi_order,
                      recognize_cyclotomic, site_for_prime)
@@ -25,7 +25,7 @@ from .rootkit import RootSystemLabel, build_root_system
 from .selberg import (complex_parameter_grid, real_parameter_grid,
                       selberg_complex_closed, selberg_complex_quadrature,
                       selberg_real_closed, selberg_real_quadrature)
-from .spectra import (gamma_ratio_profile, gamma_vector, lambda_min,
+from .spectra import (affine_theorem, gamma_ratio_profile, gamma_vector, lambda_min,
                       mass_vector_closed_form, pf_power_iteration,
                       verify_affine_masses, verify_membership,
                       verify_pairing_sums, verify_pf_eigenvector)
@@ -105,11 +105,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_context(args) -> tuple[PrecisionContext, object]:
     digits = args.digits
     if digits is None:
-        digits = int(os.environ.get(ENV_DIGITS, "50"))
+        digits = _number(int, os.environ.get(ENV_DIGITS, "50"), ENV_DIGITS)
     ctx = PrecisionContext(digits)
     with ctx.working():
-        tol = mpf(args.tol)
+        tol = _number(mpf, args.tol, "--tol")
     return ctx, tol
+
+
+def _number(convert, text: str, name: str):
+    try:
+        return convert(text)
+    except ValueError:
+        raise DomainError(f"{name} must be a number, got {text!r}") from None
 
 
 def _dec(x, ctx: PrecisionContext) -> str:
@@ -246,6 +253,12 @@ def _cmd_verify(args, ctx, tol):
         labels = [RootSystemLabel.parse(args.label)]
     else:
         labels = list(default_battery())
+    if args.check in ("1.2", "1.3"):
+        covered = [label for label in labels if affine_theorem(label) == args.check]
+        if not covered:
+            raise DomainError(f"theorem {args.check} does not cover {labels[0]}; "
+                              f"its affine masses fall under {affine_theorem(labels[0])}")
+        labels = covered
     checks = ["1.1", "1.2", "4.2", "4.4"] if args.check == "all" else [args.check]
     reports = []
     for label in labels:
@@ -400,10 +413,10 @@ def main(argv=None) -> int:
     try:
         ctx, tol = _resolve_context(args)
         payload, lines, rows, code = _HANDLERS[args.command](args, ctx, tol)
-    except CartanGammaError as exc:
+        _emit(args, payload, lines, rows)
+    except (CartanGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(args, payload, lines, rows)
     return code
 
 

@@ -17,14 +17,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 from typing import Mapping
 
 from mpmath import mp
 
 from .errors import DomainError, NotAUnit
-from .rootkit import RootSystem, coroot_pairing
+from .rootkit import RootSystem
 from .specialfn import PrecisionContext
 
 
@@ -111,15 +110,13 @@ class MembershipVerdict:
     witness: object = None
 
 
-@lru_cache(maxsize=None)
 def word_of_root_system(rs: RootSystem, i: int) -> GammaWord:
     """Exponent word of simple index i: minus the sum of coroot pairings
     against root i, grouped by root height, over modulus h."""
-    rs._check_index(i)
     f: dict[int, int] = {}
-    for alpha in rs.positive_roots:
+    for alpha, pairing in zip(rs.positive_roots, rs.coroot_column(i)):
         ht = sum(alpha)
-        f[ht] = f.get(ht, 0) - coroot_pairing(rs, alpha, i)
+        f[ht] = f.get(ht, 0) - pairing
     return GammaWord.from_coeffs(rs.h, f)
 
 
@@ -199,5 +196,5 @@ def pairing_height_sum(rs: RootSystem, i: int) -> int:
     Equals the Coxeter number for every simple index; exposed so the CLI and
     tests can assert it exactly.
     """
-    rs._check_index(i)
-    return sum(coroot_pairing(rs, alpha, i) * sum(alpha) for alpha in rs.positive_roots)
+    return sum(pairing * sum(alpha)
+               for alpha, pairing in zip(rs.positive_roots, rs.coroot_column(i)))

@@ -179,22 +179,16 @@ def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
         return mpf(site.p) ** (-verdict.k) * j
 
 
-def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
-              bound: int | None = None) -> int | None:
-    """Least m <= bound with (normalized word sum)**m = 1 to precision,
-    or None when no such m is found.  Default bound is 4 N**2."""
-    n = site.modulus
-    if bound is None:
-        bound = 4 * n * n
+def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | None:
+    """Order of the normalized word sum as a 2N-th root of unity, or None
+    when it lies farther than the context tolerance from every one."""
+    n2 = 2 * site.modulus
     with ctx.working():
         psi = hecke_value(f, site, ctx)
-        tol = mpf(10) ** (20 - ctx.digits)
-        power = mp.mpc(1)
-        for m in range(1, bound + 1):
-            power *= psi
-            if abs(power - 1) < tol:
-                return m
-    return None
+        m = int(mp.nint(mp.arg(psi) * n2 / (2 * mp.pi))) % n2
+        if abs(psi - mp.expjpi(mpf(2 * m) / n2)) >= ctx.tolerance:
+            return None
+    return n2 // gcd(m, n2)
 
 
 # ---------------------------------------------------------------------------

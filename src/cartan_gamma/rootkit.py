@@ -1,9 +1,13 @@
 """Exact construction of finite irreducible root systems.
 
-Roots are integer coefficient vectors over the simple-root basis; the
-invariant product is fixed by a rational Gram matrix normalized so that
-long roots have squared length 2.  Everything here is integer/rational
-arithmetic; no floating point enters at any stage.
+Roots are integer coefficient vectors over the simple-root basis.  A type
+is fixed by its integer Cartan matrix ``A`` and the squared lengths ``e_j``
+in {1, 2, 3} of the simple roots (short roots have 1); ``B_ij = A_ij e_j``
+is the symmetric integer form.  The positive roots follow from the
+root-string rule ``p - q = <alpha, a_i^vee> = sum_j alpha_j A[j][i]``, and
+the coroot pairings ``2 (B alpha)_i / (alpha^T B alpha)`` are tabulated
+once per type, each checked for exact divisibility.  Only the rational
+view ``gram``/``inner``/``norm`` (long roots of norm 2) uses fractions.
 
 Numbering of simple roots follows the standard plates (for the exceptional
 types: node 2 is the branch vertex attached to node 4 in the E series;
@@ -12,15 +16,15 @@ F4 has the two long roots first; G2 starts with the short root).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InvalidRank, NotARoot
 
 Root = tuple[int, ...]
-Matrix = tuple[tuple[Q, ...], ...]
+IntMatrix = tuple[tuple[int, ...], ...]
 
 _RANK_RANGE = {
     "A": (1, None),
@@ -59,74 +63,68 @@ class RootSystemLabel:
         return f"{self.family}{self.rank}"
 
 
-def _gram(label: RootSystemLabel) -> Matrix:
-    """Simple-root Gram matrix with long-root norm 2."""
+def _diagram(label: RootSystemLabel) -> tuple[list[tuple[int, int]], list[int]]:
+    """Bonds (1-based node pairs) and squared lengths of the simple roots.
+
+    B ends in a short root and C in a long one; E is the chain 1-3-4-...-n
+    with the branch node 2 attached to node 4.
+    """
     fam, n = label.family, label.rank
-    g = [[Q(0)] * n for _ in range(n)]
-
-    def chain(norm: Q, upto: int, off: Q) -> None:
-        for i in range(upto):
-            g[i][i] = norm
-        for i in range(upto - 1):
-            g[i][i + 1] = g[i + 1][i] = off
-
-    if fam == "A":
-        chain(Q(2), n, Q(-1))
-    elif fam == "B":
-        chain(Q(2), n, Q(-1))
-        g[n - 1][n - 1] = Q(1)  # last simple root is short
-    elif fam == "C":
-        chain(Q(1), n - 1, Q(-1, 2))
-        g[n - 1][n - 1] = Q(2)  # last simple root is long
-        g[n - 2][n - 1] = g[n - 1][n - 2] = Q(-1)
-    elif fam == "D":
-        chain(Q(2), n, Q(-1))
-        g[n - 2][n - 1] = g[n - 1][n - 2] = Q(0)
-        g[n - 3][n - 1] = g[n - 1][n - 3] = Q(-1)
-    elif fam == "E":
-        # Chain 1-3-4-...-n with the branch node 2 attached to node 4.
-        for i in range(n):
-            g[i][i] = Q(2)
-        edges = [(1, 3), (2, 4)] + [(k, k + 1) for k in range(3, n)]
-        for a, b in edges:
-            g[a - 1][b - 1] = g[b - 1][a - 1] = Q(-1)
-    elif fam == "F":
-        g[0][0] = g[1][1] = Q(2)
-        g[2][2] = g[3][3] = Q(1)
-        g[0][1] = g[1][0] = Q(-1)
-        g[1][2] = g[2][1] = Q(-1)
-        g[2][3] = g[3][2] = Q(-1, 2)
-    elif fam == "G":
-        g[0][0] = Q(2, 3)
-        g[1][1] = Q(2)
-        g[0][1] = g[1][0] = Q(-1)
-    return tuple(tuple(row) for row in g)
+    chain = [(k, k + 1) for k in range(1, n)]
+    bonds = {"D": chain[:-1] + [(n - 2, n)], "E": [(1, 3), (2, 4)] + chain[2:]}
+    lengths = {"B": [2] * (n - 1) + [1], "C": [1] * (n - 1) + [2],
+               "F": [2, 2, 1, 1], "G": [1, 3]}
+    return bonds.get(fam, chain), lengths.get(fam, [1] * n)
 
 
-@dataclass(frozen=True)
+def _exact(num: int, den: int, what: str) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise AssertionError(f"{what} {num}/{den} is not an integer")
+    return quotient
+
+
+@dataclass(frozen=True, eq=False)
 class RootSystem:
     """Immutable exact model of one finite irreducible root system.
 
-    ``positive_roots`` is sorted by (height, coefficients) and contains
-    integer coefficient vectors over the simple roots.  ``marks`` and
-    ``comarks`` have length rank+1 and start with the affine entry 1.
-    ``cartan[i][j]`` is the pairing of simple root i against simple
-    coroot j, i.e. 2(a_i|a_j)/(a_j|a_j).
+    ``cartan[i][j]`` is the pairing of simple root i against simple coroot
+    j, i.e. 2(a_i|a_j)/(a_j|a_j); ``lengths[j]`` is (a_j|a_j) over the
+    short-root norm.  ``positive_roots`` is sorted by (height, coefficients)
+    and ``root_index`` maps each to its row of ``coroot_table``, the
+    pairings <alpha^vee, a_i> for i = 1..rank.  ``marks`` and ``comarks``
+    have length rank+1 and start with the affine entry 1.  A system is a
+    pure function of its label and hashes and compares by it.
     """
 
     label: RootSystemLabel
-    gram: Matrix
+    cartan: IntMatrix
+    lengths: tuple[int, ...]
     positive_roots: tuple[Root, ...]
-    cartan: tuple[tuple[int, ...], ...]
+    coroot_table: IntMatrix
     h: int
     h_dual: int
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
     highest_root: Root
+    root_index: Mapping[Root, int] = field(repr=False)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RootSystem) and other.label == self.label
+
+    def __hash__(self) -> int:
+        return hash(self.label)
 
     @property
     def rank(self) -> int:
         return self.label.rank
+
+    @property
+    def gram(self) -> tuple[tuple[Q, ...], ...]:
+        """Rational Gram matrix B / max(lengths): long roots have norm 2."""
+        long = max(self.lengths)
+        return tuple(tuple(Q(a * e, long) for a, e in zip(row, self.lengths))
+                     for row in self.cartan)
 
     def simple_root(self, i: int) -> Root:
         """Coefficient vector of the i-th simple root (1-based)."""
@@ -134,69 +132,67 @@ class RootSystem:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
     def inner(self, v: Sequence[int], w: Sequence[int]) -> Q:
-        """Exact invariant product of two coefficient vectors."""
-        total = Q(0)
-        for i, vi in enumerate(v):
-            if vi:
-                row = self.gram[i]
-                total += vi * sum(row[j] * wj for j, wj in enumerate(w) if wj)
-        return total
+        """Exact invariant product (B v).w / max(lengths) of coefficient vectors."""
+        b_v = _simple_pairings(self.cartan, v)
+        return Q(sum(e * b * x for e, b, x in zip(self.lengths, b_v, w)), max(self.lengths))
 
     def norm(self, alpha: Sequence[int]) -> Q:
         return self.inner(alpha, alpha)
 
     def is_root(self, v: Sequence[int]) -> bool:
         t = tuple(v)
-        neg = tuple(-c for c in t)
-        return t in self._root_set or neg in self._root_set
+        return t in self.root_index or tuple(-c for c in t) in self.root_index
 
-    @property
-    def _root_set(self) -> frozenset:
-        # Cached on first use; object.__setattr__ because the dataclass is frozen.
-        cached = self.__dict__.get("_root_set_cache")
-        if cached is None:
-            cached = frozenset(self.positive_roots)
-            object.__setattr__(self, "_root_set_cache", cached)
-        return cached
+    def coroot_column(self, i: int) -> tuple[int, ...]:
+        """<alpha^vee, a_i> for every positive root alpha, in root order."""
+        self._check_index(i)
+        return tuple(row[i - 1] for row in self.coroot_table)
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.rank:
             raise NotARoot(f"simple-root index {i} out of range 1..{self.rank}")
 
 
-def _closure(gram: Matrix) -> list[Root]:
+def _simple_pairings(cartan: IntMatrix, alpha: Sequence[int]) -> list[int]:
+    """<alpha, a_i^vee> = sum_j alpha_j A[j][i] for every simple index i."""
+    return [sum(a * row[i] for a, row in zip(alpha, cartan)) for i in range(len(cartan))]
+
+
+def _closure(cartan: IntMatrix) -> list[Root]:
     """Generate all positive roots from the simple ones.
 
     A candidate alpha + a_i is accepted exactly when the a_i-string through
-    alpha ascends: q = p - <alpha, a_i-coroot> > 0, where p counts how far
+    alpha ascends: q = p - <alpha, a_i^vee> > 0, where p counts how far
     the string descends inside the already-known roots.
     """
-    n = len(gram)
+    n = len(cartan)
     simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-
-    def ip(v: Root, w: Root) -> Q:
-        return sum(gram[i][j] * v[i] * w[j]
-                   for i in range(n) if v[i] for j in range(n) if w[j])
-
     roots: set[Root] = set(simples)
     frontier: list[Root] = list(simples)
     while frontier:
         grown: list[Root] = []
         for alpha in frontier:
+            pairings = _simple_pairings(cartan, alpha)
             for i, s in enumerate(simples):
-                pairing = 2 * ip(alpha, s) / gram[i][i]
                 p = 0
                 down = tuple(a - b for a, b in zip(alpha, s))
-                while all(c >= 0 for c in down) and down in roots:
+                while down in roots:
                     p += 1
                     down = tuple(a - b for a, b in zip(down, s))
-                if p - pairing > 0:
-                    up = tuple(a + b for a, b in zip(alpha, s))
-                    if up not in roots:
-                        roots.add(up)
-                        grown.append(up)
+                up = tuple(a + b for a, b in zip(alpha, s))
+                if p > pairings[i] and up not in roots:
+                    roots.add(up)
+                    grown.append(up)
         frontier = grown
     return sorted(roots, key=lambda v: (sum(v), v))
+
+
+def _coroot_row(cartan: IntMatrix, lengths: Sequence[int], alpha: Root) -> tuple[int, ...]:
+    """<alpha^vee, a_i> = 2 (B alpha)_i / (alpha^T B alpha), where
+    (B alpha)_i = e_i <alpha, a_i^vee>."""
+    b_alpha = [e * s for e, s in zip(lengths, _simple_pairings(cartan, alpha))]
+    norm = sum(a * b for a, b in zip(alpha, b_alpha))
+    return tuple(_exact(2 * b, norm, "coroot pairing") for b in b_alpha)
 
 
 @lru_cache(maxsize=None)
@@ -205,9 +201,16 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
 
     Raises InvalidRank for out-of-range labels (via RootSystemLabel).
     """
-    gram = _gram(label)
+    bonds, lengths = _diagram(label)
     n = label.rank
-    positives = _closure(gram)
+    form = [[2 * e if i == j else 0 for j in range(n)] for i, e in enumerate(lengths)]
+    # On a bond, A_ij is -1 unless a_j is the shorter root, and then
+    # -e_i/e_j; either way B_ij = A_ij e_j = -max(e_i, e_j).
+    for a, b in bonds:
+        form[a - 1][b - 1] = form[b - 1][a - 1] = -max(lengths[a - 1], lengths[b - 1])
+    cartan = tuple(tuple(_exact(form[i][j], lengths[j], "Cartan entry") for j in range(n))
+                   for i in range(n))
+    positives = _closure(cartan)
 
     theta = positives[-1]
     h = sum(theta) + 1
@@ -218,26 +221,23 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
     if sum(marks) != h:
         raise AssertionError(f"{label}: marks do not sum to the Coxeter number")
 
-    comarks_q = [Q(1)] + [marks[i + 1] * gram[i][i] / 2 for i in range(n)]
-    if any(c.denominator != 1 or c <= 0 for c in comarks_q):
-        raise AssertionError(f"{label}: comarks are not positive integers")
-    comarks = tuple(int(c) for c in comarks_q)
-
-    cartan_q = [[2 * gram[i][j] / gram[j][j] for j in range(n)] for i in range(n)]
-    if any(c.denominator != 1 for row in cartan_q for c in row):
-        raise AssertionError(f"{label}: Cartan entries are not integers")
-    cartan = tuple(tuple(int(c) for c in row) for row in cartan_q)
+    long = max(lengths)
+    comarks = (1,) + tuple(_exact(m * e, long, "comark") for m, e in zip(theta, lengths))
+    if min(comarks) <= 0:
+        raise AssertionError(f"{label}: comarks are not positive")
 
     return RootSystem(
         label=label,
-        gram=gram,
-        positive_roots=tuple(positives),
         cartan=cartan,
+        lengths=tuple(lengths),
+        positive_roots=tuple(positives),
+        coroot_table=tuple(_coroot_row(cartan, lengths, alpha) for alpha in positives),
         h=h,
         h_dual=sum(comarks),
         marks=marks,
         comarks=comarks,
         highest_root=theta,
+        root_index={alpha: k for k, alpha in enumerate(positives)},
     )
 
 
@@ -245,21 +245,26 @@ def height(rs: RootSystem, alpha: Sequence[int]) -> int:
     """Coefficient sum of a positive root; equals its pairing with the
     half-sum of positive coroots under the long-norm-2 normalization."""
     t = tuple(alpha)
-    if t not in rs._root_set:
+    if t not in rs.root_index:
         raise NotARoot(f"{t} is not a positive root of {rs.label}")
     return sum(t)
 
 
+def _signed_row(rs: RootSystem, alpha: Sequence[int]) -> tuple[int, ...]:
+    """Coroot-table row of a root of either sign."""
+    t = tuple(alpha)
+    sign = 1 if t in rs.root_index else -1
+    k = rs.root_index.get(tuple(sign * c for c in t))
+    if k is None:
+        raise NotARoot(f"{t} is not a root of {rs.label}")
+    return tuple(sign * c for c in rs.coroot_table[k])
+
+
 def coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
     """(alpha-coroot | a_i) = 2(alpha|a_i)/(alpha|alpha), an exact integer."""
-    t = tuple(alpha)
-    if not rs.is_root(t):
-        raise NotARoot(f"{t} is not a root of {rs.label}")
+    row = _signed_row(rs, alpha)
     rs._check_index(i)
-    value = 2 * rs.inner(t, rs.simple_root(i)) / rs.norm(t)
-    if value.denominator != 1:
-        raise AssertionError("coroot pairing is not an integer")
-    return int(value)
+    return row[i - 1]
 
 
 def simple_coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
@@ -268,10 +273,7 @@ def simple_coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
     if not rs.is_root(t):
         raise NotARoot(f"{t} is not a root of {rs.label}")
     rs._check_index(i)
-    value = 2 * rs.inner(t, rs.simple_root(i)) / rs.gram[i - 1][i - 1]
-    if value.denominator != 1:
-        raise AssertionError("simple-coroot pairing is not an integer")
-    return int(value)
+    return _simple_pairings(rs.cartan, t)[i - 1]
 
 
 def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -282,30 +284,15 @@ def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     matrix, see :func:`affine_cartan_matrix_dual`) has the comarks vector in
     its kernel.
     """
-    n = rs.rank
-    alpha0 = tuple(-c for c in rs.highest_root)
-    basis = [alpha0] + [rs.simple_root(i) for i in range(1, n + 1)]
-
-    def norm(v):
-        return rs.inner(v, v)
-
-    rows = []
-    for vi in basis:
-        row = []
-        for vj in basis:
-            entry = 2 * rs.inner(vi, vj) / norm(vi)
-            if entry.denominator != 1:
-                raise AssertionError("affine Cartan entry is not an integer")
-            row.append(int(entry))
-        rows.append(tuple(row))
-    return tuple(rows)
+    basis = ([tuple(-c for c in rs.highest_root)]
+             + [rs.simple_root(i) for i in range(1, rs.rank + 1)])
+    pairings = [_signed_row(rs, u) for u in basis]
+    return tuple(tuple(sum(p * c for p, c in zip(row, v)) for v in basis) for row in pairings)
 
 
 def affine_cartan_matrix_dual(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Transpose of the affine matrix; its kernel contains the comarks."""
-    a = affine_cartan_matrix(rs)
-    m = len(a)
-    return tuple(tuple(a[j][i] for j in range(m)) for i in range(m))
+    return tuple(zip(*affine_cartan_matrix(rs)))
 
 
 def rational_nullspace(matrix: Iterable[Iterable]) -> list[tuple[Q, ...]]:

@@ -23,7 +23,7 @@ from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
 from .reports import VerificationReport
-from .rootkit import RootSystem
+from .rootkit import RootSystem, RootSystemLabel
 from .specialfn import PrecisionContext, pow_rat
 
 SIMPLY_LACED = "ADE"
@@ -321,6 +321,12 @@ def verify_pf_eigenvector(rs: RootSystem, ctx: PrecisionContext, tol) -> Verific
                               labels=tuple(labels))
 
 
+def affine_theorem(label: RootSystemLabel) -> str:
+    """Theorem that covers the affine masses of a type: 1.2 for the simply
+    laced families, 1.3 for the others."""
+    return "1.2" if label.family in SIMPLY_LACED else "1.3"
+
+
 def verify_affine_masses(rs: RootSystem, ctx: PrecisionContext, tol) -> VerificationReport:
     """Check the affine ratio vector against k(R)**(-1/h) times the comarks."""
     with ctx.working():
@@ -329,8 +335,7 @@ def verify_affine_masses(rs: RootSystem, ctx: PrecisionContext, tol) -> Verifica
         scale = pow_rat(mark_power_product(rs), Q(-1, rs.h), ctx)
         residuals = tuple(abs(v - scale * c) for v, c in zip(vec, rs.comarks))
         labels = tuple(f"node_{i}" for i in range(rs.rank + 1))
-    theorem = "1.2" if rs.label.family in SIMPLY_LACED else "1.3"
-    return VerificationReport(theorem=theorem, system=str(rs.label),
+    return VerificationReport(theorem=affine_theorem(rs.label), system=str(rs.label),
                               residuals=residuals, tolerance=tol, labels=labels)
 
 

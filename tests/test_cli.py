@@ -144,6 +144,34 @@ def test_bad_type_is_usage_error(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv,env", [
+    (["--tol", "abc"], None),
+    ([], "x"),
+    (["--out", "/nonexistent-dir/report.txt"], None),
+], ids=["tol", "digits-env", "out-dir"])
+def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("CARTAN_GAMMA_DIGITS", env)
+    code, out, err = run(capsys, "roots", "--type", "A2", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("check,label", [("1.3", "E6"), ("1.2", "G2")])
+def test_verify_type_outside_theorem_exits_2(capsys, check, label):
+    code, out, err = run(capsys, "verify", check, "--type", label)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_verify_affine_theorem_runs_only_its_types(capsys):
+    code, out, _ = run(capsys, "verify", "1.3", "--format", "json")
+    assert code == 0
+    reports = json.loads(out)["reports"]
+    assert {r["theorem"] for r in reports} == {"1.3"}
+    assert len(reports) == 11 + 11 + 2  # B2-B12, C2-C12, F4, G2
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

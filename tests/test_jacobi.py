@@ -3,10 +3,10 @@ from fractions import Fraction as Q
 import pytest
 from mpmath import mp, mpf
 
-from cartan_gamma import (DomainError, GammaWord, NotInC, PrimeSite,
+from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
                           SearchExhausted, find_site, gauss_sum, hecke_value,
-                          jacobi_sum, psi_order, recognize_cyclotomic, tilde,
-                          word_of_root_system)
+                          jacobi_sum, psi_order, recognize_cyclotomic, site_for_prime,
+                          tilde, word_of_root_system)
 from conftest import rs
 
 
@@ -128,6 +128,14 @@ def test_psi_is_root_of_unity(ctx):
     with ctx.working():
         psi = hecke_value(f, site, ctx)
         assert abs(psi ** order - 1) < mpf(10) ** -30
+
+
+def test_psi_order_at_twenty_digits_matches_fifty():
+    system = rs("E7")
+    site = site_for_prime(system.h, 19)
+    for i in range(1, system.rank + 1):
+        f = word_of_root_system(system, i)
+        assert psi_order(f, site, PrecisionContext(20)) == psi_order(f, site, PrecisionContext(50))
 
 
 def test_recognize_cyclotomic(ctx):

@@ -110,6 +110,28 @@ def test_simple_coroot_pairing_matches_cartan(small_labels):
                         == system.cartan[i - 1][j - 1])
 
 
+def test_pairing_table_matches_fraction_reference(battery):
+    # Reference from the rational Gram matrix, computed with fractions:
+    # 2(alpha|a_i)/(alpha|alpha) and 2(alpha|a_i)/(a_i|a_i).
+    for label in battery:
+        system = build_root_system(label)
+        g, r = system.gram, system.rank
+        for positive in system.positive_roots:
+            for root in (positive, tuple(-c for c in positive)):
+                g_root = [sum(Q(g[i][j]) * root[j] for j in range(r)) for i in range(r)]
+                norm = sum(c * x for c, x in zip(root, g_root))
+                for i in range(1, r + 1):
+                    assert coroot_pairing(system, root, i) == 2 * g_root[i - 1] / norm
+                    assert (simple_coroot_pairing(system, root, i)
+                            == 2 * g_root[i - 1] / g[i - 1][i - 1])
+
+
+def test_root_system_compares_by_label():
+    assert rs("E6") == build_root_system(RootSystemLabel("E", 6))
+    assert hash(rs("E6")) == hash(RootSystemLabel("E", 6))
+    assert rs("B3") != rs("C3")
+
+
 def test_height():
     assert height(rs("A5"), rs("A5").simple_root(3)) == 1
     assert height(rs("E8"), rs("E8").highest_root) == 29
