@@ -9,9 +9,9 @@ covered by the unit-group action on exponent words.
 Recognition of values in the ring of integers of the N-th cyclotomic
 field works on the real-embedding lattice: scaled real/imaginary parts
 are appended to an identity block, the basis is LLL-reduced exactly over
-the rationals, and a nearest-plane walk rounds the target; the candidate
-is accepted only after high-precision re-evaluation against the stated
-tolerance.
+the rationals once per (N, digits), and a nearest-plane walk rounds the
+target; the candidate is accepted only after high-precision re-evaluation
+against the stated tolerance.
 """
 
 from __future__ import annotations
@@ -139,19 +139,25 @@ def gauss_sum(a, site: PrimeSite, ctx: PrecisionContext,
     by x -> e(c x / p); used to check that normalized word sums do not
     depend on this choice.
     """
-    n, p, g = site.modulus, site.p, site.generator
-    j = _residue_index(a, n)
-    if additive_scale % p == 0:
+    j = _residue_index(a, site.modulus)
+    if additive_scale % site.p == 0:
         raise DomainError("additive character scale must be nonzero mod p")
+    return CharacterSum(value=_gauss_value(j, site, ctx, additive_scale % site.p),
+                        site=site, residue=Fraction(j, site.modulus))
+
+
+@lru_cache(maxsize=None)
+def _gauss_value(j: int, site: PrimeSite, ctx: PrecisionContext, scale: int):
+    # x = g**m visits each nonzero residue once: each e(c x / p) is used once.
+    n, p, g = site.modulus, site.p, site.generator
     with ctx.working():
-        zeta_n = [mp.expjpi(mpf(2 * k) / n) for k in range(n)]
-        zeta_p = [mp.expjpi(mpf(2 * k) / p) for k in range(p)]
+        zeta_n = _zeta_powers(n, ctx.digits)
         total = mp.mpc(0)
         x = 1
         for m in range(p - 1):
-            total += zeta_n[(j * m) % n] * zeta_p[(additive_scale * x) % p]
+            total += zeta_n[(j * m) % n] * mp.expjpi(mpf(2 * ((scale * x) % p)) / p)
             x = (x * g) % p
-        return CharacterSum(value=-total, site=site, residue=Fraction(j, n))
+        return -total
 
 
 def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
@@ -264,6 +270,22 @@ def _zeta_powers(n: int, digits: int):
         return tuple(mp.expjpi(mpf(2 * j) / n) for j in range(n))
 
 
+def _scaled(x, digits: int) -> list[int]:
+    """Real and imaginary parts of x times 10**(digits - 2), rounded."""
+    return [int(mp.nint(part * mpf(10) ** (digits - 2))) for part in (x.real, x.imag)]
+
+
+@lru_cache(maxsize=None)
+def _reduced_lattice(modulus: int, digits: int) -> tuple[tuple[Fraction, ...], ...]:
+    """LLL-reduced real-embedding lattice of zeta_N**j, j < phi(N): an
+    identity block beside the scaled embeddings.  Built once per (N, digits)."""
+    phi = _euler_phi(modulus)
+    with PrecisionContext(digits).working():
+        rows = [[int(t == j) for t in range(phi)] + _scaled(zeta, digits)
+                for j, zeta in enumerate(_zeta_powers(modulus, digits)[:phi])]
+    return tuple(map(tuple, _lll_reduce(rows)))
+
+
 def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
                          ctx: PrecisionContext | None = None):
     """Integer coordinates of z over the power basis of the N-th cyclotomic
@@ -279,26 +301,15 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
         tol = mpf(10) ** (-20) if tol is None else mpf(tol)
         phi = _euler_phi(modulus)
         zetas = _zeta_powers(modulus, ctx.digits)[:phi]
-        scale = mpf(10) ** (ctx.digits - 2)
-
-        def scaled(x) -> int:
-            return int(mp.nint(x * scale))
-
-        rows = []
-        for j in range(phi):
-            unit = [1 if t == j else 0 for t in range(phi)]
-            rows.append(unit + [scaled(zetas[j].real), scaled(zetas[j].imag)])
-        target = [Fraction(0)] * phi + [Fraction(scaled(mp.mpc(z).real)),
-                                        Fraction(scaled(mp.mpc(z).imag))]
-
-        reduced = _lll_reduce(rows)
-        combo = _babai_nearest(reduced, target)
+        z = mp.mpc(z)
+        target = [Fraction(c) for c in [0] * phi + _scaled(z, ctx.digits)]
+        combo = _babai_nearest(_reduced_lattice(modulus, ctx.digits), target)
         if any(c.denominator != 1 for c in combo[:phi]):
             return None
         coeffs = [int(c) for c in combo[:phi]]
         if coeffs and max(abs(c) for c in coeffs) > max_coeff:
             return None
         recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
-        if abs(mp.mpc(z) - recombined) < tol:
+        if abs(z - recombined) < tol:
             return tuple(coeffs)
         return None

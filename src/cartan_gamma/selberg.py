@@ -7,8 +7,8 @@ weights absorb every endpoint singularity (the square is folded onto the
 triangle below the diagonal and rescaled, so the |x - y| factor also lands
 on a Gauss-Jacobi endpoint).  The complex variant replaces each Gamma by
 the reflection ratio Gamma(x)/Gamma(1-x) and carries a factor pi per
-dimension; its oracle integrates in polar coordinates, splitting the
-radius at 2 and mapping the tail back into the unit disk by inversion.
+dimension; its oracle at n = 1 is one radial integral, the angular part
+being a 2F1 in closed form.  No Gamma function enters either oracle.
 """
 
 from __future__ import annotations
@@ -153,46 +153,34 @@ def selberg_complex_closed(params: SelbergParams, ctx: PrecisionContext):
         return total
 
 
-def _angular_integral(radius, bexp, maxdegree: int):
-    # 2 * int_0^pi ((1-r)^2 + 4 r sin^2(t/2))^(b-1) dt
-    def f(t):
-        return ((1 - radius) ** 2 + 4 * radius * mp.sin(t / 2) ** 2) ** (bexp - 1)
+def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
+    """Planar quadrature oracle at n = 1, as one radial integral.
 
-    return 2 * mp.quad(f, [0, mp.pi], maxdegree=maxdegree)
-
-
-def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext,
-                               maxdegree: int = 5):
-    """Planar quadrature oracle at n = 1.
-
-    Polar coordinates with the radial line split at r = 1 (the image of the
-    singular point) and at r = 2; the tail beyond radius 2 is pulled back
-    into the disk of radius 1/2 by z -> 1/z, which maps the integrand to the
-    same family with alpha replaced by 1 - alpha - beta.  Raise ``maxdegree``
-    for parameters close to the boundary of the integrability domain.
+    For r < 1 the angular integral of |1 - r e^{it}|^{2(beta-1)} over
+    [0, 2 pi] is 2 pi 2F1(1-beta, 1-beta; 1; r**2), Parseval's identity on
+    the binomial series of (1 - r e^{it})**(beta-1).  The fold z -> 1/z maps
+    r > 1 onto s = 1/r with alpha replaced by 1 - alpha - beta, leaving
+    2 pi int_0^1 (s^{2 alpha-1} + s^{1-2 alpha-2 beta}) 2F1(...; s**2) ds.
+    No Gamma function enters, so the oracle is independent of the closed
+    form.  Raises QuadratureNotConverged when the error estimate exceeds
+    1e-5 of the value.
     """
     if params.n != 1:
         raise DomainError(f"complex quadrature oracle covers n = 1, got n={params.n}")
     params.require_complex_domain()
-    a, b = Fraction(params.alpha), Fraction(params.beta)
-    digits = max(25, min(PrecisionContext().digits, ctx.digits, 35))
-    with mp.workdps(digits):
-        av = mpf(a.numerator) / a.denominator
-        bv = mpf(b.numerator) / b.denominator
+    with ctx.working():
+        a = ctx.to_mpf(Fraction(params.alpha))
+        b = ctx.to_mpf(Fraction(params.beta))
+        head, tail = 2 * a - 1, 1 - 2 * a - 2 * b
 
-        def radial(exponent, pieces):
-            val, err = mp.quad(
-                lambda rr: rr ** (2 * exponent - 1) * _angular_integral(rr, bv, maxdegree),
-                pieces, maxdegree=maxdegree, error=True)
-            return val, err
+        def radial(s):
+            return (s ** head + s ** tail) * mp.hyp2f1(1 - b, 1 - b, 1, s * s)
 
-        head, err_head = radial(av, [0, 1, 2])
-        tail, err_tail = radial(1 - av - bv, [0, mpf(1) / 2])
-        total = head + tail
-        if (err_head + err_tail) > mpf("1e-5") * abs(total):
+        value, err = mp.quad(radial, [0, mpf(1) / 2, 1], error=True)
+        if err > mpf("1e-5") * abs(value):
             raise QuadratureNotConverged(
-                f"estimated quadrature error {err_head + err_tail} too large")
-        return total
+                f"estimated quadrature error {2 * mp.pi * err} too large")
+        return 2 * mp.pi * value
 
 
 def real_parameter_grid() -> tuple[SelbergParams, ...]:

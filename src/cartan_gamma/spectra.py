@@ -130,8 +130,8 @@ def deflated_second_eigenvalue(cartan, result: EigenResult, ctx: PrecisionContex
         shifted = [[2 * (1 if i == j else 0) - mpf(cartan[i][j]) / 2 for j in range(n)]
                    for i in range(n)]
         v = list(result.vector)
-        # Left eigenvector: D v with D_ii = (a_i|a_i), recovered from the
-        # Cartan asymmetry A_ij / A_ji = (a_j|a_j)/(a_i|a_i) along the diagram.
+        # Left eigenvector: D v with D_ii = 1/(a_i|a_i), recovered from the
+        # Cartan asymmetry A_ij / A_ji = (a_i|a_i)/(a_j|a_j) along the diagram.
         d = [mpf(1)] * n
         settled = {0}
         changed = True
@@ -140,7 +140,7 @@ def deflated_second_eigenvalue(cartan, result: EigenResult, ctx: PrecisionContex
             for i in range(n):
                 for j in range(n):
                     if i in settled and j not in settled and cartan[i][j] != 0:
-                        d[j] = d[i] * mpf(cartan[j][i]) / mpf(cartan[i][j])
+                        d[j] = d[i] * mpf(cartan[i][j]) / mpf(cartan[j][i])
                         settled.add(j)
                         changed = True
         left = [d[i] * v[i] for i in range(n)]

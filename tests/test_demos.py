@@ -1,5 +1,4 @@
-"""The demo scripts 01-05 run to completion.  Demo 06 is left out: it
-spends its time in Selberg quadrature, which test_selberg covers."""
+"""The demo scripts 01-06 run to completion."""
 
 import os
 import subprocess
@@ -9,11 +8,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-5]_*.py"))
+DEMOS = sorted(p for p in (ROOT / "demos").glob("0[1-6]_*.py"))
 
 
 def test_demo_set():
-    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05"]
+    assert [p.name[:2] for p in DEMOS] == ["01", "02", "03", "04", "05", "06"]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)

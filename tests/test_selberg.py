@@ -92,6 +92,30 @@ def test_complex_quadrature_two_points(ctx):
         assert abs(qa - qb) < 2 * mpf(10) ** -6 * abs(qa)
 
 
+@pytest.mark.parametrize("radius", ["0.3", "0.9", "1.7"])
+@pytest.mark.parametrize("b", [Q(1, 3), Q(1, 2)])
+def test_angular_integral_closed_form(ctx, radius, b):
+    # The complex oracle replaces the angular integral of |1 - r e^{it}|^{2(b-1)}
+    # by 2 pi 2F1(1-b, 1-b; 1; r^2) and folds r > 1 onto 1/r; the direct
+    # angular quadrature is the reference.
+    with ctx.working():
+        r, bv = mpf(radius), ctx.to_mpf(b)
+        direct = 2 * mp.quad(
+            lambda t: ((1 - r) ** 2 + 4 * r * mp.sin(t / 2) ** 2) ** (bv - 1), [0, mp.pi])
+        s = min(r, 1 / r)
+        closed = (r ** (2 * bv - 2) if r > 1 else 1) * 2 * mp.pi * mp.hyp2f1(
+            1 - bv, 1 - bv, 1, s ** 2)
+        assert abs(direct - closed) < mpf(10) ** -30 * abs(closed)
+
+
+def test_complex_quadrature_matches_closed_on_grid(ctx):
+    with ctx.working():
+        for params in complex_parameter_grid():
+            closed = selberg_complex_closed(params, ctx)
+            quadrature = selberg_complex_quadrature(params, ctx)
+            assert abs(quadrature - closed) < mpf(10) ** -20 * abs(closed), params
+
+
 def test_closed_form_log_derivative_consistency(ctx):
     # central differences at two spacings agree: smoothness sanity only
     with ctx.working():

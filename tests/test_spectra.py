@@ -65,6 +65,21 @@ def test_power_iteration_contract(ctx, battery):
                 assert second < 2 - res.eigenvalue / 2 - mpf("0.01")
 
 
+@pytest.mark.parametrize("text", ["G2", "B3", "C4", "F4"])
+def test_deflated_growth_is_second_eigenvalue(ctx, text):
+    # Non-simply-laced types, where the left Perron vector differs from v.
+    # The reference spectrum comes from mpmath's dense eigensolver at the
+    # working precision: a float64 solver resolves only ~1e-15.
+    cartan = rs(text).cartan
+    growth = deflated_second_eigenvalue(cartan, pf_power_iteration(cartan, ctx), ctx)
+    with ctx.working():
+        n = len(cartan)
+        shifted = mp.matrix([[2 * (i == j) - mpf(cartan[i][j]) / 2 for j in range(n)]
+                             for i in range(n)])
+        spectrum = sorted(mp.re(x) for x in mp.eig(shifted, left=False, right=False))
+        assert abs(growth - spectrum[-2]) < mpf(10) ** -20
+
+
 def test_power_iteration_no_convergence(ctx):
     with pytest.raises(NoConvergence):
         pf_power_iteration(rs("E8").cartan, ctx, max_iterations=3)
