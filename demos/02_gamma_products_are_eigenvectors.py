@@ -1,8 +1,9 @@
 """Three routes to one positive vector.
 
 The vector of Gamma products attached to a root system, the closed-form
-mass vector, and power iteration on the Cartan matrix all give the same
-positive eigenvector with eigenvalue 4 sin^2(pi/2h).
+mass vector, and power iteration on the inverse Cartan matrix (every entry
+of which is positive) all give the same positive eigenvector with
+eigenvalue 4 sin^2(pi/2h).
 """
 
 from mpmath import mp

@@ -21,11 +21,11 @@ from .selberg import (SelbergParams, complex_parameter_grid, real_parameter_grid
                       selberg_real_closed, selberg_real_quadrature)
 from .specialfn import (PrecisionContext, cos_pi, gamma, gamma_tilde, pi_value,
                         pow_rat, s_factor, sin_pi, trig_identities_suite)
-from .spectra import (EigenResult, affine_gamma_vector, deflated_second_eigenvalue,
-                      gamma_ratio_profile, gamma_vector, incidence_max_eigenvalue,
-                      lambda_min, mark_power_product, mass_vector_closed_form,
-                      pf_power_iteration, verify_affine_masses, verify_membership,
-                      verify_pairing_sums, verify_pf_eigenvector)
+from .spectra import (EigenResult, affine_gamma_vector, gamma_ratio_profile,
+                      gamma_vector, lambda_min, mark_power_product,
+                      mass_vector_closed_form, pf_power_iteration,
+                      verify_affine_masses, verify_membership, verify_pairing_sums,
+                      verify_pf_eigenvector)
 
 __version__ = "0.1.0"
 

@@ -230,8 +230,11 @@ def _lll_reduce(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list
         for j in range(i - 1, -1, -1):
             q = round(mu[i][j])
             if q:
+                # Size reduction leaves the Gram-Schmidt vectors and norms
+                # unchanged and moves row i of mu by q times row j.
                 basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
-                mu, _, norms = _gram_schmidt(basis)
+                mu[i][:j] = [a - q * b for a, b in zip(mu[i][:j], mu[j][:j])]
+                mu[i][j] -= q
         if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
             i += 1
         else:

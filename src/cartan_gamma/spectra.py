@@ -2,7 +2,7 @@
 
 Three independent routes to the same positive vector are cross-checked:
 
-* power iteration on the (shifted) incidence operator of the diagram,
+* power iteration on the exact, entrywise-positive inverse Cartan matrix,
 * the classical closed-form mass vectors, type by type,
 * the Gamma-product vector evaluated from the exponent words.
 
@@ -18,12 +18,12 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .errors import NoConvergence
+from .errors import DomainError, NoConvergence
 from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
 from .reports import VerificationReport
-from .rootkit import RootSystem, RootSystemLabel
+from .rootkit import RootSystem, RootSystemLabel, rational_nullspace
 from .specialfn import PrecisionContext, pow_rat
 
 SIMPLY_LACED = "ADE"
@@ -33,12 +33,6 @@ def lambda_min(rs: RootSystem, ctx: PrecisionContext):
     """Smallest Cartan eigenvalue, 4*sin(pi/2h)**2."""
     with ctx.working():
         return 4 * mp.sinpi(mpf(1) / (2 * rs.h)) ** 2
-
-
-def incidence_max_eigenvalue(rs: RootSystem, ctx: PrecisionContext):
-    """Largest eigenvalue of I - A/2: (2 - lambda_min)/2, i.e. cos(pi/h)."""
-    with ctx.working():
-        return (2 - lambda_min(rs, ctx)) / 2
 
 
 @dataclass(frozen=True)
@@ -51,116 +45,73 @@ class EigenResult:
     residual: object
 
 
-def _matvec(a, v):
-    return [sum(aij * vj for aij, vj in zip(row, v) if aij) for row in a]
+def _positive_inverse(cartan) -> list[list[Q]]:
+    """Exact inverse of a Cartan matrix, read off the kernel of [A | -I].
+
+    The kernel basis must come back as (x_j, e_j), so that A x_j = e_j, and
+    every entry of the inverse must be positive; otherwise DomainError.
+    """
+    n = len(cartan)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    kernel = rational_nullspace([list(row) + [-e for e in unit]
+                                 for row, unit in zip(cartan, identity)])
+    if [list(x[n:]) for x in kernel] != identity:
+        raise DomainError(f"Cartan matrix {cartan} is singular")
+    inverse = [[x[i] for x in kernel] for i in range(n)]
+    if not all(q > 0 for row in inverse for q in row):
+        raise DomainError(f"inverse of {cartan} is not entrywise positive, "
+                          f"so it is not the Cartan matrix of a finite "
+                          f"irreducible type")
+    return inverse
 
 
 def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
                        max_iterations: int = 200_000) -> EigenResult:
-    """Strictly positive eigenvector of an irreducible Cartan matrix.
+    """Strictly positive eigenvector of an irreducible finite-type Cartan
+    matrix, for its smallest eigenvalue.
 
-    Iterates the nonnegative operator 2I - A/2 from the all-ones vector.
-    (The bare incidence operator I - A/2 of a diagram is bipartite, so its
-    spectrum is symmetric and unshifted iteration cannot settle; adding I
-    makes the dominant eigenvalue unique without moving the eigenvectors.)
+    Iterates the exact inverse A^-1 from the all-ones vector.  For a finite
+    irreducible type every entry of A^-1 is a positive rational (Lusztig and
+    Tits, "The inverse of a Cartan matrix", 1992), and that is checked
+    exactly before any floating point.  By Perron's theorem a positive
+    matrix has a simple dominant eigenvalue, here 1/lambda_min, with a
+    positive eigenvector unique up to scale and no other eigenvalue of equal
+    modulus; so the iteration converges to that vector, at the rate
+    lambda_min/lambda_2, and the check certifies its uniqueness.
+    Singular, reducible and indefinite matrices raise DomainError.
     After the successive-iterate test passes, iteration continues until the
     geometric error estimate drops below tol, so the returned vector is
     accurate to tol, not merely Cauchy at tol.
     """
+    inverse = _positive_inverse(cartan)
     with ctx.working():
         if tol is None:
             tol = mpf(10) ** (5 - ctx.digits)
         else:
             tol = mpf(tol)
-        n = len(cartan)
-        shifted = [[2 * (1 if i == j else 0) - mpf(cartan[i][j]) / 2 for j in range(n)]
-                   for i in range(n)]
-        if n == 1:
-            lam = mpf(cartan[0][0])
-            return EigenResult(eigenvalue=lam, vector=(mpf(1),), iterations=0,
-                               residual=mpf(0))
-
-        v = [mpf(1)] * n
+        inverse = [[mpf(q.numerator) / q.denominator for q in row] for row in inverse]
+        v = [mpf(1)] * len(cartan)
         diff = mpf(1)
-        ratio = mpf("0.5")
-        iterations = 0
-        met_cauchy = False
-        while iterations < max_iterations:
-            w = _matvec(shifted, v)
-            scale = w[-1]
-            if scale <= 0:
-                raise NoConvergence("iterate left the positive cone")
-            w = [wi / scale for wi in w]
-            prev_diff = diff
-            diff = max(abs(a - b) for a, b in zip(w, v))
+        for iterations in range(1, max_iterations + 1):
+            # fdot rounds each exact dot product once, so mirror-image rows
+            # give bit-identical coordinates.
+            w = [mp.fdot(row, v) for row in inverse]
+            w = [wi / w[-1] for wi in w]
+            prev_diff, diff = diff, max(abs(a - b) for a, b in zip(w, v))
             v = w
-            iterations += 1
-            if prev_diff > 0:
-                ratio = min(max(diff / prev_diff, mpf("0.01")), mpf("0.999999"))
-            if diff < tol:
-                met_cauchy = True
-                # Error behind the Cauchy increment is ~ diff * ratio/(1-ratio).
-                if diff * ratio / (1 - ratio) < tol / 2:
-                    break
-        if not met_cauchy:
+            # Error behind the Cauchy increment is ~ diff * ratio/(1-ratio),
+            # ratio = diff/prev_diff; multiplied out, a ratio >= 1 never stops.
+            if diff < tol and diff ** 2 < (prev_diff - diff) * tol / 2:
+                break
+        else:
             raise NoConvergence(f"power iteration did not reach {tol} "
                                 f"in {max_iterations} iterations")
 
-        shifted_eig = _matvec(shifted, v)[-1]
-        lam = 4 - 2 * shifted_eig
-        av = _matvec([[mpf(c) for c in row] for row in cartan], v)
+        av = [mp.fdot(row, v) for row in cartan]
+        lam = av[-1]
         residual = max(abs(ai - lam * vi) for ai, vi in zip(av, v))
         return EigenResult(eigenvalue=lam, vector=tuple(v),
                            iterations=iterations, residual=residual)
-
-
-def deflated_second_eigenvalue(cartan, result: EigenResult, ctx: PrecisionContext,
-                               steps: int = 200):
-    """Dominant growth rate of the shifted operator 2I - A/2 after projecting
-    out the positive eigen-pair.
-
-    A strictly smaller value than 2 - eigenvalue/2 certifies that the
-    dominant eigenvalue of the shifted operator is simple, hence that the
-    positive eigenvector is unique up to scale.
-    """
-    with ctx.working():
-        n = len(cartan)
-        if n == 1:
-            return mpf(0)
-        shifted = [[2 * (1 if i == j else 0) - mpf(cartan[i][j]) / 2 for j in range(n)]
-                   for i in range(n)]
-        v = list(result.vector)
-        # Left eigenvector: D v with D_ii = 1/(a_i|a_i), recovered from the
-        # Cartan asymmetry A_ij / A_ji = (a_i|a_i)/(a_j|a_j) along the diagram.
-        d = [mpf(1)] * n
-        settled = {0}
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n):
-                for j in range(n):
-                    if i in settled and j not in settled and cartan[i][j] != 0:
-                        d[j] = d[i] * mpf(cartan[i][j]) / mpf(cartan[j][i])
-                        settled.add(j)
-                        changed = True
-        left = [d[i] * v[i] for i in range(n)]
-        lv = sum(li * vi for li, vi in zip(left, v))
-
-        def deflate(w):
-            coeff = sum(li * wi for li, wi in zip(left, w)) / lv
-            return [wi - coeff * vi for wi, vi in zip(w, v)]
-
-        w = deflate([mpf(1 + (i % 3)) for i in range(n)])
-        growth = mpf(0)
-        for _ in range(steps):
-            w2 = deflate(_matvec(shifted, w))
-            norm_prev = max(abs(x) for x in w)
-            norm_next = max(abs(x) for x in w2)
-            if norm_next == 0:
-                return mpf(0)
-            growth = norm_next / norm_prev
-            w = [x / norm_next for x in w2]
-        return growth
 
 
 @lru_cache(maxsize=None)

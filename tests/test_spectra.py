@@ -3,13 +3,13 @@ from fractions import Fraction as Q
 import pytest
 from mpmath import mp, mpf
 
-from cartan_gamma import (NoConvergence, affine_gamma_vector, build_root_system,
-                          deflated_second_eigenvalue, gamma_ratio_profile,
-                          gamma_vector, incidence_max_eigenvalue, lambda_min,
+from cartan_gamma import (DomainError, NoConvergence, affine_cartan_matrix,
+                          affine_gamma_vector, build_root_system,
+                          gamma_ratio_profile, gamma_vector, lambda_min,
                           mark_power_product, mass_vector_closed_form,
-                          pf_power_iteration, pow_rat, verify_affine_masses,
-                          verify_membership, verify_pairing_sums,
-                          verify_pf_eigenvector)
+                          pf_power_iteration, pow_rat, rational_nullspace,
+                          verify_affine_masses, verify_membership,
+                          verify_pairing_sums, verify_pf_eigenvector)
 from conftest import rs
 
 
@@ -18,13 +18,11 @@ def test_lambda_min_values(ctx):
         assert abs(lambda_min(rs("A1"), ctx) - 2) < ctx.tolerance
         e8 = lambda_min(rs("E8"), ctx)
         assert abs(e8 - 4 * mp.sinpi(mpf(1) / 60) ** 2) == 0
-        # double-angle consistency and the shifted-operator peak
+        # double-angle consistency
         for text in ("A5", "B4", "G2", "E7"):
             system = rs(text)
             lam = lambda_min(system, ctx)
             assert abs(lam - (2 - 2 * mp.cospi(mpf(1) / system.h))) < ctx.tolerance
-            assert abs(incidence_max_eigenvalue(system, ctx)
-                       - mp.cospi(mpf(1) / system.h)) < ctx.tolerance
 
 
 def test_power_iteration_small_cases(ctx):
@@ -60,24 +58,37 @@ def test_power_iteration_contract(ctx, battery):
             assert res.residual < 10 * tol
             lam = lambda_min(system, ctx)
             assert abs(res.eigenvalue - lam) < 10 * tol
-            second = deflated_second_eigenvalue(system.cartan, res, ctx)
-            if system.rank > 1:
-                assert second < 2 - res.eigenvalue / 2 - mpf("0.01")
 
 
-@pytest.mark.parametrize("text", ["G2", "B3", "C4", "F4"])
-def test_deflated_growth_is_second_eigenvalue(ctx, text):
-    # Non-simply-laced types, where the left Perron vector differs from v.
-    # The reference spectrum comes from mpmath's dense eigensolver at the
-    # working precision: a float64 solver resolves only ~1e-15.
-    cartan = rs(text).cartan
-    growth = deflated_second_eigenvalue(cartan, pf_power_iteration(cartan, ctx), ctx)
-    with ctx.working():
+def test_inverse_cartan_matrix_is_positive(battery):
+    # Lusztig-Tits: the Perron certificate of pf_power_iteration.  Column j
+    # of the inverse is x_j in the kernel vector (x_j, e_j) of [A | -I].
+    for label in battery:
+        cartan = build_root_system(label).cartan
         n = len(cartan)
-        shifted = mp.matrix([[2 * (i == j) - mpf(cartan[i][j]) / 2 for j in range(n)]
-                             for i in range(n)])
-        spectrum = sorted(mp.re(x) for x in mp.eig(shifted, left=False, right=False))
-        assert abs(growth - spectrum[-2]) < mpf(10) ** -20
+        kernel = rational_nullspace([list(row) + [-int(i == j) for j in range(n)]
+                                     for i, row in enumerate(cartan)])
+        columns = [x[:n] for x in kernel]
+        assert all(sum(a * c for a, c in zip(row, col)) == (i == j)
+                   for i, row in enumerate(cartan)
+                   for j, col in enumerate(columns)), label
+        assert all(q > 0 for col in columns for q in col), label
+
+
+def test_power_iteration_takes_few_steps(ctx, battery):
+    for label in battery:
+        assert pf_power_iteration(build_root_system(label).cartan, ctx).iterations <= 100
+
+
+@pytest.mark.parametrize("cartan", [
+    affine_cartan_matrix(rs("A2")),  # singular
+    ((0,),),                         # singular; its kernel alone looks positive
+    ((2, 0), (0, 2)),                # reducible
+    ((2, -3), (-3, 2)),              # indefinite
+], ids=["affine-A2", "zero", "reducible", "indefinite"])
+def test_power_iteration_rejects_non_finite_types(ctx, cartan):
+    with pytest.raises(DomainError):
+        pf_power_iteration(cartan, ctx)
 
 
 def test_power_iteration_no_convergence(ctx):
