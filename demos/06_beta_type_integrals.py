@@ -16,7 +16,7 @@ from cartan_gamma import (PrecisionContext, SelbergParams, selberg_complex_close
 
 ctx = PrecisionContext(50)
 
-print("real case, n = 2 (tensor Gauss-Jacobi oracle):")
+print("real case, n = 2 (folded onto x < y, inner integral a 2F1 in closed form):")
 with ctx.working():
     for params in (SelbergParams(1, 1, 1, 2),
                    SelbergParams(Q(1, 2), Q(1, 2), Q(1, 2), 2),

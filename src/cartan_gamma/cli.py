@@ -14,7 +14,7 @@ import json
 import os
 import sys
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
@@ -109,6 +109,8 @@ def _resolve_context(args) -> tuple[PrecisionContext, object]:
     ctx = PrecisionContext(digits)
     with ctx.working():
         tol = _number(mpf, args.tol, "--tol")
+    if not (mp.isfinite(tol) and tol > 0):
+        raise DomainError(f"--tol must be finite and positive, got {args.tol!r}")
     return ctx, tol
 
 
@@ -324,11 +326,10 @@ def _cmd_jacobi(args, ctx, tol):
 
 
 def _cmd_selberg(args, ctx, tol):
-    real_grid = real_parameter_grid()
-    complex_grid = complex_parameter_grid()
-    if args.grid:
-        real_grid = real_grid[:args.grid]
-        complex_grid = complex_grid[:args.grid]
+    if args.grid < 0:
+        raise DomainError(f"--grid must be >= 0, got {args.grid}")
+    real_grid = real_parameter_grid()[:args.grid or None]
+    complex_grid = complex_parameter_grid()[:args.grid or None]
     entries = []
     lines = ["closed form vs quadrature oracle"]
     rows = []

@@ -296,7 +296,7 @@ def affine_cartan_matrix_dual(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 
 
 def rational_nullspace(matrix: Iterable[Iterable]) -> list[tuple[Q, ...]]:
-    """Exact kernel basis of a rational matrix via fraction-free elimination."""
+    """Exact kernel basis of a rational matrix via Gaussian elimination over Q."""
     rows = [list(map(Q, row)) for row in matrix]
     if not rows:
         return []

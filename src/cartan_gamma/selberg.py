@@ -1,14 +1,15 @@
 """Beta-type n-dimensional integrals: closed product forms and quadrature
 oracles for cross-validation.
 
-The real closed form is a Gamma product valid for all n; the desk-scale
-quadrature oracle covers n in {1, 2} using tensor Gauss-Jacobi nodes whose
-weights absorb every endpoint singularity (the square is folded onto the
-triangle below the diagonal and rescaled, so the |x - y| factor also lands
-on a Gauss-Jacobi endpoint).  The complex variant replaces each Gamma by
-the reflection ratio Gamma(x)/Gamma(1-x) and carries a factor pi per
-dimension; its oracle at n = 1 is one radial integral, the angular part
-being a 2F1 in closed form.  No Gamma function enters either oracle.
+The real closed form is a Gamma product valid for all n; its oracle at
+n in {1, 2} substitutes x = u**(1/p) near 0 and 1 - x = v**(1/q) near 1,
+which absorbs the endpoint powers exactly, and at n = 2 folds the square
+onto x < y and does the inner integral by Euler's integral for 2F1.  The
+complex variant replaces each Gamma by the reflection ratio
+Gamma(x)/Gamma(1-x) and carries a factor pi per dimension; its oracle at
+n = 1 is one radial integral, the angular part being a 2F1 in closed form.
+Neither oracle evaluates the closed form's Gamma product; mpmath's 2F1
+uses its own connection formulas near 1.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp, mpf
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, QuadratureNotConverged
 from .specialfn import PrecisionContext
@@ -71,41 +70,38 @@ def selberg_real_closed(params: SelbergParams, ctx: PrecisionContext):
         return mp.exp(total)
 
 
-def _jacobi_rule(m: int, exp_at_1: float, exp_at_0: float):
-    """Nodes/weights on [0,1] for weight x**exp_at_0 * (1-x)**exp_at_1."""
-    t, w = roots_jacobi(m, exp_at_1, exp_at_0)
-    return (1 + t) / 2, w * 2.0 ** (-exp_at_0 - exp_at_1 - 1)
+def _jacobi_weighted(p, q, g=lambda x: 1):
+    """int_0^1 x**(p-1) (1-x)**(q-1) g(x) dx and its error estimate: x = u**(1/p)
+    on [0, 1/2] and 1 - x = v**(1/q) on [1/2, 1] absorb both endpoint powers."""
+    head, e_head = mp.quad(lambda u: (1 - u ** (1 / p)) ** (q - 1) * g(u ** (1 / p)),
+                           [0, 2 ** -p], error=True)
+    tail, e_tail = mp.quad(lambda v: (1 - v ** (1 / q)) ** (p - 1) * g(1 - v ** (1 / q)),
+                           [0, 2 ** -q], error=True)
+    return head / p + tail / q, e_head / p + e_tail / q
 
 
-def _real_quadrature_value(a: float, b: float, r: float, n: int, m_outer: int) -> float:
-    if n == 1:
-        x, w = _jacobi_rule(max(m_outer, 4), b - 1, a - 1)
-        return float(w.sum())
-    # Fold [0,1]^2 onto {x < y}, substitute x = y*u: the u-rule absorbs
-    # u**(a-1) (1-u)**(2r), the y-rule absorbs y**(2a+2r-1) (1-y)**(b-1),
-    # and only the smooth factor (1 - y*u)**(b-1) is sampled.
-    m_inner = max(240, 6 * m_outer)
-    u, wu = _jacobi_rule(m_inner, 2 * r, a - 1)
-    y, wy = _jacobi_rule(m_outer, b - 1, 2 * a + 2 * r - 1)
-    inner = ((1 - np.outer(y, u)) ** (b - 1) * wu).sum(axis=1)
-    return float(2 * (wy * inner).sum())
-
-
-def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext,
-                            nodes: int = 160):
-    """Quadrature oracle for n in {1, 2}; raises QuadratureNotConverged when
-    doubling the node count moves the value by more than 1e-6 relatively."""
+def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext):
+    """Quadrature oracle for n in {1, 2}, both Beta-weighted integrals taken
+    by _jacobi_weighted's endpoint substitutions.  n = 1 is B(a, b).  At
+    n = 2 the square folds onto x = y*u < y and Euler's integral does the
+    u-integral: 2 B(a, 2r+1) int_0^1 y**(2a+2r-1) (1-y)**(b-1)
+    2F1(1-b, a; a+2r+1; y) dy.  Raises QuadratureNotConverged when the
+    propagated error estimate exceeds 1e-5 of the value."""
     params.require_real_domain()
     if params.n not in (1, 2):
         raise DomainError(f"quadrature oracle covers n in {{1, 2}}, got n={params.n}")
-    a, b, r = (float(Fraction(v)) for v in (params.alpha, params.beta, params.rho))
-    coarse = _real_quadrature_value(a, b, r, params.n, nodes)
-    fine = _real_quadrature_value(a, b, r, params.n, 2 * nodes)
-    if abs(fine - coarse) > 1e-6 * abs(fine):
-        raise QuadratureNotConverged(
-            f"node doubling moved the value by {abs(fine - coarse):.3e}")
     with ctx.working():
-        return mpf(fine)
+        a, b, r = (ctx.to_mpf(Fraction(v)) for v in (params.alpha, params.beta, params.rho))
+        if params.n == 1:
+            value, err = _jacobi_weighted(a, b)
+        else:
+            beta, e_beta = _jacobi_weighted(a, 2 * r + 1)
+            outer, e_outer = _jacobi_weighted(
+                2 * a + 2 * r, b, lambda y: mp.hyp2f1(1 - b, a, a + 2 * r + 1, y))
+            value, err = 2 * beta * outer, 2 * (e_beta * abs(outer) + e_outer * abs(beta))
+        if err > mpf("1e-5") * abs(value):
+            raise QuadratureNotConverged(f"estimated quadrature error {err} too large")
+        return value
 
 
 def _ratio_factors(params: SelbergParams) -> Counter:
@@ -161,9 +157,8 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
     the binomial series of (1 - r e^{it})**(beta-1).  The fold z -> 1/z maps
     r > 1 onto s = 1/r with alpha replaced by 1 - alpha - beta, leaving
     2 pi int_0^1 (s^{2 alpha-1} + s^{1-2 alpha-2 beta}) 2F1(...; s**2) ds.
-    No Gamma function enters, so the oracle is independent of the closed
-    form.  Raises QuadratureNotConverged when the error estimate exceeds
-    1e-5 of the value.
+    Raises QuadratureNotConverged when the error estimate exceeds 1e-5 of
+    the value.
     """
     if params.n != 1:
         raise DomainError(f"complex quadrature oracle covers n = 1, got n={params.n}")

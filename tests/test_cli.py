@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf
@@ -144,15 +148,23 @@ def test_bad_type_is_usage_error(capsys):
     assert "error" in err
 
 
+ROOTS = ["roots", "--type", "A2"]
+
+
 @pytest.mark.parametrize("argv,env", [
-    (["--tol", "abc"], None),
-    ([], "x"),
-    (["--out", "/nonexistent-dir/report.txt"], None),
-], ids=["tol", "digits-env", "out-dir"])
+    ([*ROOTS, "--tol", "abc"], None),
+    ([*ROOTS, "--tol", "inf"], None),
+    ([*ROOTS, "--tol", "nan"], None),
+    ([*ROOTS, "--tol", "-1"], None),
+    (ROOTS, "x"),
+    ([*ROOTS, "--out", "/nonexistent-dir/report.txt"], None),
+    (["selberg", "--grid", "-1"], None),
+], ids=["tol", "tol-inf", "tol-nan", "tol-negative", "digits-env", "out-dir",
+        "grid-negative"])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("CARTAN_GAMMA_DIGITS", env)
-    code, out, err = run(capsys, "roots", "--type", "A2", *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
 
@@ -176,3 +188,15 @@ def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, cartan_gamma.cli; "
+             "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -51,10 +51,16 @@ def test_real_quadrature_matches_closed_form(ctx):
         assert abs(exact - closed) < mpf(10) ** -10 * abs(closed)
 
 
-def test_real_quadrature_convergence_guard(ctx):
+@pytest.mark.parametrize("oracle,params", [
+    (selberg_real_quadrature, SelbergParams(Q(1, 2), Q(1, 2), 0, 1)),
+    (selberg_real_quadrature, SelbergParams(Q(1, 2), Q(1, 2), Q(1, 2), 2)),
+    (selberg_complex_quadrature, SelbergParams(Q(1, 3), Q(1, 3), 0, 1)),
+], ids=["real-n1", "real-n2", "complex"])
+def test_quadrature_convergence_guard(ctx, monkeypatch, oracle, params):
+    # an error estimate as large as the value must not pass as converged
+    monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: (mpf(1), mpf(1)))
     with pytest.raises(QuadratureNotConverged):
-        selberg_real_quadrature(SelbergParams(Q(1, 2), Q(1, 2), Q(1, 2), 2),
-                                ctx, nodes=2)
+        oracle(params, ctx)
 
 
 def test_complex_closed_n1(ctx):
@@ -108,11 +114,15 @@ def test_angular_integral_closed_form(ctx, radius, b):
         assert abs(direct - closed) < mpf(10) ** -30 * abs(closed)
 
 
-def test_complex_quadrature_matches_closed_on_grid(ctx):
+@pytest.mark.parametrize("grid,closed_form,oracle", [
+    (real_parameter_grid, selberg_real_closed, selberg_real_quadrature),
+    (complex_parameter_grid, selberg_complex_closed, selberg_complex_quadrature),
+], ids=["real", "complex"])
+def test_quadrature_matches_closed_on_grid(ctx, grid, closed_form, oracle):
     with ctx.working():
-        for params in complex_parameter_grid():
-            closed = selberg_complex_closed(params, ctx)
-            quadrature = selberg_complex_quadrature(params, ctx)
+        for params in grid():
+            closed = closed_form(params, ctx)
+            quadrature = oracle(params, ctx)
             assert abs(quadrature - closed) < mpf(10) ** -20 * abs(closed), params
 
 
