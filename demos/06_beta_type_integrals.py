@@ -29,7 +29,7 @@ with ctx.working():
     print("   (the first one is the elementary double integral of (x-y)^2: 1/6)")
 
 print()
-print("complex case, n = 1 (one radial integral, angular part in closed form):")
+print("complex case, n = 1 (angular part a 2F1, radial part Euler-transformed):")
 with ctx.working():
     for params in (SelbergParams(Q(1, 3), Q(1, 3), 0, 1),
                    SelbergParams(Q(1, 4), Q(1, 2), 0, 1)):

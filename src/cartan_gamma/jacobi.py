@@ -104,8 +104,6 @@ def site_for_prime(modulus: int, p: int) -> PrimeSite:
     """Site at an explicitly chosen prime."""
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
-    if (p - 1) % modulus != 0:
-        raise DomainError(f"{p} is not 1 mod {modulus}")
     return PrimeSite(modulus, p, _least_primitive_root(p))
 
 
@@ -299,6 +297,8 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     combination to fall within ``tol`` of z and all coordinates to stay
     within ``max_coeff``.
     """
+    if modulus < 1:
+        raise DomainError(f"modulus must be >= 1, got {modulus}")
     ctx = ctx or PrecisionContext()
     with ctx.working():
         tol = mpf(10) ** (-20) if tol is None else mpf(tol)

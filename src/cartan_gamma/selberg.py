@@ -1,15 +1,15 @@
 """Beta-type n-dimensional integrals: closed product forms and quadrature
 oracles for cross-validation.
 
-The real closed form is a Gamma product valid for all n; its oracle at
-n in {1, 2} substitutes x = u**(1/p) near 0 and 1 - x = v**(1/q) near 1,
-which absorbs the endpoint powers exactly, and at n = 2 folds the square
-onto x < y and does the inner integral by Euler's integral for 2F1.  The
-complex variant replaces each Gamma by the reflection ratio
-Gamma(x)/Gamma(1-x) and carries a factor pi per dimension; its oracle at
-n = 1 is one radial integral, the angular part being a 2F1 in closed form.
-Neither oracle evaluates the closed form's Gamma product; mpmath's 2F1
-uses its own connection formulas near 1.
+The real closed form is a Gamma product valid for all n; the complex
+variant replaces each Gamma by the reflection ratio Gamma(x)/Gamma(1-x) and
+carries a factor pi per dimension.  Both oracles take Beta-weighted
+integrals by substituting x = u**(1/p) near 0 and 1 - x = v**(1/q) near 1,
+which absorbs the endpoint powers.  The real one at n = 2 folds the square
+onto x < y, with Euler's integral for 2F1 inside; the planar one at n = 1
+takes the angular part as a 2F1, and Euler's transformation makes the
+radial part Beta-weighted.  Neither oracle evaluates the closed form's
+Gamma product; mpmath's 2F1 uses its own connection formulas near 1.
 """
 
 from __future__ import annotations
@@ -54,19 +54,25 @@ class SelbergParams:
             raise DomainError(f"outside the complex integrability domain: {self}")
 
 
+def _gamma_factors(params: SelbergParams):
+    """(argument, +-1) of each Gamma factor of the closed forms, j-major."""
+    a, b, r, n = (Fraction(params.alpha), Fraction(params.beta),
+                  Fraction(params.rho), params.n)
+    for j in range(n):
+        yield 1 + r + j * r, 1
+        yield a + j * r, 1
+        yield b + j * r, 1
+        yield 1 + r, -1
+        yield a + b + (n + j - 1) * r, -1
+
+
 def selberg_real_closed(params: SelbergParams, ctx: PrecisionContext):
     """Gamma-product closed form of the real integral, any n."""
     params.require_real_domain()
-    a, b, r, n = (Fraction(params.alpha), Fraction(params.beta),
-                  Fraction(params.rho), params.n)
     with ctx.working():
         total = mpf(0)
-        for j in range(n):
-            for arg, sign in (
-                (1 + r + j * r, 1), (a + j * r, 1), (b + j * r, 1),
-                (1 + r, -1), (a + b + (n + j - 1) * r, -1),
-            ):
-                total += sign * mp.loggamma(ctx.to_mpf(arg))
+        for arg, sign in _gamma_factors(params):
+            total += sign * mp.loggamma(ctx.to_mpf(arg))
         return mp.exp(total)
 
 
@@ -78,6 +84,13 @@ def _jacobi_weighted(p, q, g=lambda x: 1):
     tail, e_tail = mp.quad(lambda v: (1 - v ** (1 / q)) ** (p - 1) * g(1 - v ** (1 / q)),
                            [0, 2 ** -q], error=True)
     return head / p + tail / q, e_head / p + e_tail / q
+
+
+def _converged(value, err):
+    """The value, unless the error estimate exceeds 1e-5 of it."""
+    if err > mpf("1e-5") * abs(value):
+        raise QuadratureNotConverged(f"estimated quadrature error {err} too large")
+    return value
 
 
 def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext):
@@ -99,23 +112,15 @@ def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext):
             outer, e_outer = _jacobi_weighted(
                 2 * a + 2 * r, b, lambda y: mp.hyp2f1(1 - b, a, a + 2 * r + 1, y))
             value, err = 2 * beta * outer, 2 * (e_beta * abs(outer) + e_outer * abs(beta))
-        if err > mpf("1e-5") * abs(value):
-            raise QuadratureNotConverged(f"estimated quadrature error {err} too large")
-        return value
+        return _converged(value, err)
 
 
 def _ratio_factors(params: SelbergParams) -> Counter:
     """Multiset of (argument, exponent) for the ratio product, with the
     repeated 1+rho factor cancelled exactly before evaluation."""
-    a, b, r, n = (Fraction(params.alpha), Fraction(params.beta),
-                  Fraction(params.rho), params.n)
     factors: Counter = Counter()
-    for j in range(n):
-        factors[1 + r + j * r] += 1
-        factors[a + j * r] += 1
-        factors[b + j * r] += 1
-        factors[1 + r] -= 1
-        factors[a + b + (n + j - 1) * r] -= 1
+    for arg, sign in _gamma_factors(params):
+        factors[arg] += sign
     return Counter({arg: e for arg, e in factors.items() if e})
 
 
@@ -150,15 +155,17 @@ def selberg_complex_closed(params: SelbergParams, ctx: PrecisionContext):
 
 
 def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
-    """Planar quadrature oracle at n = 1, as one radial integral.
+    """Planar quadrature oracle at n = 1, as two Beta-weighted integrals.
 
     For r < 1 the angular integral of |1 - r e^{it}|^{2(beta-1)} over
     [0, 2 pi] is 2 pi 2F1(1-beta, 1-beta; 1; r**2), Parseval's identity on
     the binomial series of (1 - r e^{it})**(beta-1).  The fold z -> 1/z maps
-    r > 1 onto s = 1/r with alpha replaced by 1 - alpha - beta, leaving
-    2 pi int_0^1 (s^{2 alpha-1} + s^{1-2 alpha-2 beta}) 2F1(...; s**2) ds.
-    Raises QuadratureNotConverged when the error estimate exceeds 1e-5 of
-    the value.
+    r > 1 onto r < 1 with alpha replaced by 1 - alpha - beta, and t = r**2
+    leaves pi int_0^1 (t^{alpha-1} + t^{-alpha-beta}) 2F1(...; t) dt.
+    Euler's transformation 2F1(1-beta, 1-beta; 1; t) =
+    (1-t)**(2 beta-1) 2F1(beta, beta; 1; t) (DLMF 15.8.1) makes each term a
+    Beta-weighted integral.  Raises QuadratureNotConverged when the error
+    estimate exceeds 1e-5 of the value.
     """
     if params.n != 1:
         raise DomainError(f"complex quadrature oracle covers n = 1, got n={params.n}")
@@ -166,16 +173,10 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
     with ctx.working():
         a = ctx.to_mpf(Fraction(params.alpha))
         b = ctx.to_mpf(Fraction(params.beta))
-        head, tail = 2 * a - 1, 1 - 2 * a - 2 * b
-
-        def radial(s):
-            return (s ** head + s ** tail) * mp.hyp2f1(1 - b, 1 - b, 1, s * s)
-
-        value, err = mp.quad(radial, [0, mpf(1) / 2, 1], error=True)
-        if err > mpf("1e-5") * abs(value):
-            raise QuadratureNotConverged(
-                f"estimated quadrature error {2 * mp.pi * err} too large")
-        return 2 * mp.pi * value
+        (head, e_head), (tail, e_tail) = (
+            _jacobi_weighted(p, 2 * b, lambda t: mp.hyp2f1(b, b, 1, t))
+            for p in (a, 1 - a - b))
+        return mp.pi * _converged(head + tail, e_head + e_tail)
 
 
 def real_parameter_grid() -> tuple[SelbergParams, ...]:

@@ -52,6 +52,8 @@ def _positive_inverse(cartan) -> list[list[Q]]:
     every entry of the inverse must be positive; otherwise DomainError.
     """
     n = len(cartan)
+    if not n:
+        raise DomainError("an empty matrix is not a finite-type Cartan matrix")
     identity = [[int(i == j) for j in range(n)] for i in range(n)]
     kernel = rational_nullspace([list(row) + [-e for e in unit]
                                  for row, unit in zip(cartan, identity)])
@@ -194,12 +196,8 @@ def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
             return pow_rat(2, Q(1, n - 1), ctx), profile
         if fam == "G":
             return pow_rat(2, Q(-2, 3), ctx), masses
-        if fam == "F":
-            c = (pow_rat(2, Q(-5, 4), ctx) * pow_rat(3, Q(1, 8), ctx)
-                 * pow_rat(mp.sqrt(3) - 1, Q(1, 2), ctx))
-            return c, masses
-        if fam == "E" and n == 6:
-            # Same constant as F4: the terminal values of the two systems agree.
+        if fam == "F" or (fam == "E" and n == 6):
+            # One constant: the terminal values of F4 and E6 agree.
             c = (pow_rat(2, Q(-5, 4), ctx) * pow_rat(3, Q(1, 8), ctx)
                  * pow_rat(mp.sqrt(3) - 1, Q(1, 2), ctx))
             return c, masses

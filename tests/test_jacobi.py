@@ -29,6 +29,13 @@ def test_site_validation():
     assert site.p == 13
 
 
+@pytest.mark.parametrize("modulus,p", [(0, 7), (1, 7), (12, 17), (12, 15)],
+                         ids=["modulus-zero", "modulus-one", "not-1-mod-N", "composite"])
+def test_site_for_prime_rejects(modulus, p):
+    with pytest.raises(DomainError):
+        site_for_prime(modulus, p)
+
+
 def test_gauss_sum_magnitudes(ctx):
     site = find_site(12)
     with ctx.working():
@@ -156,3 +163,9 @@ def test_recognize_cyclotomic(ctx):
                                     tol=mpf(10) ** -20, ctx=ctx) is None
         assert recognize_cyclotomic(mp.mpf(3) / 7, 12, max_coeff=1000,
                                     tol=mpf(10) ** -20, ctx=ctx) is None
+
+        # N = 1: the cyclotomic integers are the rational integers
+        assert recognize_cyclotomic(mpf(1), 1, ctx=ctx) == (1,)
+        for modulus in (0, -4):
+            with pytest.raises(DomainError):
+                recognize_cyclotomic(mpf(1), modulus, ctx=ctx)

@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 import pytest
 from mpmath import mp, mpf
 
-from cartan_gamma import (DomainError, QuadratureNotConverged, SelbergParams,
-                          complex_parameter_grid, gamma, gamma_tilde,
+from cartan_gamma import (DomainError, PrecisionContext, QuadratureNotConverged,
+                          SelbergParams, complex_parameter_grid, gamma, gamma_tilde,
                           real_parameter_grid, selberg_complex_closed,
                           selberg_complex_quadrature, selberg_real_closed,
                           selberg_real_quadrature)
@@ -124,6 +124,33 @@ def test_quadrature_matches_closed_on_grid(ctx, grid, closed_form, oracle):
             closed = closed_form(params, ctx)
             quadrature = oracle(params, ctx)
             assert abs(quadrature - closed) < mpf(10) ** -20 * abs(closed), params
+
+
+@pytest.mark.parametrize("digits", [20, 50, 80])
+def test_complex_quadrature_tracks_working_precision(digits):
+    # Euler's transformation leaves a Beta-weighted integrand whose endpoint
+    # powers the substitutions absorb, so the oracle keeps all but a few of
+    # the working digits.
+    ctx = PrecisionContext(digits)
+    with ctx.working():
+        for params in complex_parameter_grid():
+            closed = selberg_complex_closed(params, ctx)
+            quadrature = selberg_complex_quadrature(params, ctx)
+            assert abs(quadrature - closed) < mpf(10) ** (5 - digits) * abs(closed), params
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (Q(1, 100), Q(49, 100)), (Q(1, 50), Q(1, 50)), (Q(1, 2), Q(12, 25)),
+    (Q(47, 100), Q(1, 100)), (Q(3, 10), Q(2, 3)), (Q(1, 10), Q(4, 5)),
+], ids=["alpha-small", "alpha-beta-small", "sum-near-1", "beta-small",
+        "beta-2/3", "beta-4/5"])
+def test_complex_quadrature_near_the_domain_edges(ctx, alpha, beta):
+    # alpha, beta or 1 - alpha - beta close to 0, or beta close to 1
+    params = SelbergParams(alpha, beta, 0, 1)
+    with ctx.working():
+        closed = selberg_complex_closed(params, ctx)
+        quadrature = selberg_complex_quadrature(params, ctx)
+        assert abs(quadrature - closed) < mpf(10) ** -20 * abs(closed)
 
 
 def test_closed_form_log_derivative_consistency(ctx):

@@ -85,7 +85,8 @@ def test_power_iteration_takes_few_steps(ctx, battery):
     ((0,),),                         # singular; its kernel alone looks positive
     ((2, 0), (0, 2)),                # reducible
     ((2, -3), (-3, 2)),              # indefinite
-], ids=["affine-A2", "zero", "reducible", "indefinite"])
+    (),                              # empty
+], ids=["affine-A2", "zero", "reducible", "indefinite", "empty"])
 def test_power_iteration_rejects_non_finite_types(ctx, cartan):
     with pytest.raises(DomainError):
         pf_power_iteration(cartan, ctx)
