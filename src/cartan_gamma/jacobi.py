@@ -6,12 +6,13 @@ attached to a residue j/N sends the canonical generator g**((p-1)/N) of
 the N-torsion to exp(2 pi i / N); any other choice is a conjugate and is
 covered by the unit-group action on exponent words.
 
-Recognition of values in the ring of integers of the N-th cyclotomic
-field works on the real-embedding lattice: scaled real/imaginary parts
-are appended to an identity block, the basis is LLL-reduced exactly over
-the rationals once per (N, digits), and a nearest-plane walk rounds the
-target; the candidate is accepted only after high-precision re-evaluation
-against the stated tolerance.
+Values in the ring of integers of the N-th cyclotomic field are
+recognized by one PSLQ integer-relation search over the real numbers
+re w + pi im w, for w the target and the power basis (Ferguson, Bailey
+and Arno, Math. Comp. 68, 1999); pi, being transcendental, keeps the
+real and imaginary parts of a relation apart.
+The candidate is accepted only after high-precision re-evaluation against
+the stated tolerance.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ def _prime_factors(n: int) -> list[int]:
 
 def _least_primitive_root(p: int) -> int:
     factors = _prime_factors(p - 1)
-    g = 2
+    g = 1  # generates the units mod 2; for odd p it never qualifies
     while g < p:
         if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
             return g
@@ -195,68 +196,6 @@ def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | Non
     return n2 // gcd(m, n2)
 
 
-# ---------------------------------------------------------------------------
-# Exact lattice reduction for cyclotomic recognition.
-
-def _gram_schmidt(basis: list[list[Fraction]]):
-    k = len(basis)
-    mu = [[Fraction(0)] * k for _ in range(k)]
-    star: list[list[Fraction]] = []
-    norms: list[Fraction] = []
-    for i in range(k):
-        vec = list(basis[i])
-        for j in range(i):
-            if norms[j] == 0:
-                continue
-            mu[i][j] = _dot(basis[i], star[j]) / norms[j]
-            vec = [a - mu[i][j] * b for a, b in zip(vec, star[j])]
-        star.append(vec)
-        norms.append(_dot(vec, vec))
-    return mu, star, norms
-
-
-def _dot(u, v) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _lll_reduce(rows: list[list[int]], delta: Fraction = Fraction(3, 4)) -> list[list[Fraction]]:
-    basis = [[Fraction(x) for x in row] for row in rows]
-    k = len(basis)
-    mu, _, norms = _gram_schmidt(basis)
-    i = 1
-    while i < k:
-        for j in range(i - 1, -1, -1):
-            q = round(mu[i][j])
-            if q:
-                # Size reduction leaves the Gram-Schmidt vectors and norms
-                # unchanged and moves row i of mu by q times row j.
-                basis[i] = [a - q * b for a, b in zip(basis[i], basis[j])]
-                mu[i][:j] = [a - q * b for a, b in zip(mu[i][:j], mu[j][:j])]
-                mu[i][j] -= q
-        if norms[i] >= (delta - mu[i][i - 1] ** 2) * norms[i - 1]:
-            i += 1
-        else:
-            basis[i], basis[i - 1] = basis[i - 1], basis[i]
-            mu, _, norms = _gram_schmidt(basis)
-            i = max(i - 1, 1)
-    return basis
-
-
-def _babai_nearest(basis: list[list[Fraction]], target: list[Fraction]) -> list[Fraction]:
-    """Nearest-plane rounding of the target onto the lattice."""
-    mu, star, norms = _gram_schmidt(basis)
-    residue = list(target)
-    combo = [Fraction(0)] * len(basis[0])
-    for i in range(len(basis) - 1, -1, -1):
-        if norms[i] == 0:
-            continue
-        c = round(_dot(residue, star[i]) / norms[i])
-        if c:
-            residue = [a - c * b for a, b in zip(residue, basis[i])]
-            combo = [a + c * b for a, b in zip(combo, basis[i])]
-    return combo
-
-
 def _euler_phi(n: int) -> int:
     out = n
     for q in _prime_factors(n):
@@ -271,31 +210,20 @@ def _zeta_powers(n: int, digits: int):
         return tuple(mp.expjpi(mpf(2 * j) / n) for j in range(n))
 
 
-def _scaled(x, digits: int) -> list[int]:
-    """Real and imaginary parts of x times 10**(digits - 2), rounded."""
-    return [int(mp.nint(part * mpf(10) ** (digits - 2))) for part in (x.real, x.imag)]
-
-
-@lru_cache(maxsize=None)
-def _reduced_lattice(modulus: int, digits: int) -> tuple[tuple[Fraction, ...], ...]:
-    """LLL-reduced real-embedding lattice of zeta_N**j, j < phi(N): an
-    identity block beside the scaled embeddings.  Built once per (N, digits)."""
-    phi = _euler_phi(modulus)
-    with PrecisionContext(digits).working():
-        rows = [[int(t == j) for t in range(phi)] + _scaled(zeta, digits)
-                for j, zeta in enumerate(_zeta_powers(modulus, digits)[:phi])]
-    return tuple(map(tuple, _lll_reduce(rows)))
-
-
 def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
                          ctx: PrecisionContext | None = None):
     """Integer coordinates of z over the power basis of the N-th cyclotomic
     integers, or None.
 
-    The candidate comes from exact LLL plus nearest-plane rounding on the
-    scaled real-embedding lattice; acceptance requires the re-evaluated
-    combination to fall within ``tol`` of z and all coordinates to stay
-    within ``max_coeff``.
+    PSLQ looks for one integer relation among ``re w + pi im w`` for
+    w = z, zeta^0, ..., zeta^(phi(N)-1).  The real and imaginary parts of
+    elements of Q(zeta_N) are algebraic and pi is transcendental, so such a
+    relation holds for both parts at once, i.e. among the complex w.  The
+    zeta^j, j < phi(N), form a Q-basis, so the relations have rank at most
+    one, and PSLQ returns a primitive one: a z-coefficient of +-1 gives the
+    unique coordinates.  They are accepted only when every coordinate stays
+    within ``max_coeff`` and the re-evaluated combination lies within ``tol``
+    of z.
     """
     if modulus < 1:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
@@ -305,13 +233,17 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
         phi = _euler_phi(modulus)
         zetas = _zeta_powers(modulus, ctx.digits)[:phi]
         z = mp.mpc(z)
-        target = [Fraction(c) for c in [0] * phi + _scaled(z, ctx.digits)]
-        combo = _babai_nearest(_reduced_lattice(modulus, ctx.digits), target)
-        if any(c.denominator != 1 for c in combo[:phi]):
-            return None
-        coeffs = [int(c) for c in combo[:phi]]
-        if coeffs and max(abs(c) for c in coeffs) > max_coeff:
-            return None
+        x = [w.real + mp.pi * w.imag for w in (z, *zetas)]
+        if abs(z) < tol or not x[0]:
+            # The zero element; pslq rejects a zero entry.
+            coeffs = [0] * phi
+        else:
+            # pslq bounds every entry strictly below maxcoeff.
+            relation = mp.pslq(x, tol=mpf(10) ** (2 - ctx.digits),
+                               maxcoeff=max_coeff + 1, maxsteps=10 ** 4)
+            if relation is None or abs(relation[0]) != 1:
+                return None
+            coeffs = [-relation[0] * c for c in relation[1:]]
         recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
         if abs(z - recombined) < tol:
             return tuple(coeffs)

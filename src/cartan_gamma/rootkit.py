@@ -55,7 +55,7 @@ class RootSystemLabel:
     @classmethod
     def parse(cls, text: str) -> "RootSystemLabel":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdigit():
+        if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdecimal():
             raise InvalidRank(f"cannot parse root-system label {text!r}")
         return cls(text[0].upper(), int(text[1:]))
 

@@ -179,21 +179,15 @@ def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
     """
     fam, n = rs.label.family, rs.rank
     with ctx.working():
-        def sp(num, den):
-            return mp.sinpi(mpf(num) / den)
-
         masses = mass_vector_closed_form(rs, ctx)
         if fam == "A":
             return mpf(1), masses
         if fam == "C":
             return mpf(1), masses
         if fam == "B":
-            profile = tuple([sp(a, 2 * n) for a in range(1, n)] + [mpf(1) / 2])
-            return pow_rat(2, Q(1, n), ctx), profile
+            return pow_rat(2, Q(1, n), ctx), tuple(m / 2 for m in masses)
         if fam == "D":
-            profile = tuple([sp(a, 2 * n - 2) for a in range(1, n - 1)]
-                            + [mpf(1) / 2, mpf(1) / 2])
-            return pow_rat(2, Q(1, n - 1), ctx), profile
+            return pow_rat(2, Q(1, n - 1), ctx), tuple(m / 2 for m in masses)
         if fam == "G":
             return pow_rat(2, Q(-2, 3), ctx), masses
         if fam == "F" or (fam == "E" and n == 6):
@@ -202,7 +196,7 @@ def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
                  * pow_rat(mp.sqrt(3) - 1, Q(1, 2), ctx))
             return c, masses
         if fam == "E" and n == 7:
-            c = pow_rat(2, Q(1, 9), ctx) * pow_rat(3, Q(-1, 6), ctx) * sp(1, 9)
+            c = pow_rat(2, Q(1, 9), ctx) * pow_rat(3, Q(-1, 6), ctx) * mp.sinpi(mpf(1) / 9)
             return c, masses
         # E8: no standalone closed form is quoted for the constant; derive it
         # from the square identity Gamma(f)^2 = (sine product) * (ratio product)

@@ -1,13 +1,18 @@
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from cartan_gamma.cli import default_battery, main
+from cartan_gamma.cli import VERIFY_CHOICES, default_battery, main
 
 
 def run(capsys, *argv):
@@ -159,8 +164,10 @@ ROOTS = ["roots", "--type", "A2"]
     (ROOTS, "x"),
     ([*ROOTS, "--out", "/nonexistent-dir/report.txt"], None),
     (["selberg", "--grid", "-1"], None),
+    (["jacobi", "--type", "E6", "--prime", "2"], None),
+    (["roots", "--type", "A\u00b2"], None),
 ], ids=["tol", "tol-inf", "tol-nan", "tol-negative", "digits-env", "out-dir",
-        "grid-negative"])
+        "grid-negative", "prime-two", "label-superscript"])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("CARTAN_GAMMA_DIGITS", env)
@@ -200,3 +207,57 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+LABELS = ["A1", "A12", "B2", "C12", "D4", "E6", "E7", "E8", "F4", "G2", "e6", " D5 ", "A\u0663",
+          "A0", "B1", "C1", "D2", "E5", "E9", "F5", "G3",
+          "H4", "A\u00b2", "", "E", "8", "EE", "A-1"]
+TOLS = ["1e-30", "1e-80", "0", "-1", "inf", "nan", "abc", ""]
+TYPED = ("roots", "pf", "gamma", "words", "classify", "verify", "jacobi")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from([*TYPED, "selberg", "identities"]))
+    argv = [command]
+    if command == "verify":
+        argv.append(draw(st.sampled_from(VERIFY_CHOICES)))
+    if command in TYPED:
+        argv += ["--type", draw(st.sampled_from(LABELS))]
+    if command == "jacobi":
+        if draw(st.booleans()):
+            argv += ["--prime", str(draw(st.integers(-2, 199)))]
+        else:
+            argv += ["--pmin", str(draw(st.integers(-2, 2)))]
+    if command == "selberg":
+        # Quadrature sets the cost here: the whole grid takes 15 s at 80 digits.
+        argv += ["--grid", str(draw(st.integers(-2, 2))),
+                 "--digits", str(draw(st.integers(20, 25)))]
+    elif draw(st.booleans()):
+        argv += ["--digits", str(draw(st.integers(20, 80)))]
+    return argv + ["--tol", draw(st.sampled_from(TOLS)), "--format", "json"]
+
+
+@pytest.fixture(scope="module")
+def missing_dir_out(tmp_path_factory):
+    return str(tmp_path_factory.mktemp("cli") / "missing" / "report.json")
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=cli_argv(), out_missing=st.booleans(),
+       env_digits=st.sampled_from([None, "20", "80", "19", "x"]))
+@example(argv=["jacobi", "--type", "E6", "--prime", "2", "--format", "json"],
+         out_missing=False, env_digits=None)
+@example(argv=["roots", "--type", "A\u00b2", "--format", "json"], out_missing=False,
+         env_digits=None)
+def test_cli_exit_contract(missing_dir_out, argv, out_missing, env_digits):
+    if out_missing:
+        argv = [*argv, "--out", missing_dir_out]
+    env = {} if env_digits is None else {"CARTAN_GAMMA_DIGITS": env_digits}
+    out, err = io.StringIO(), io.StringIO()
+    with patch.dict(os.environ, env), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert (code == 2) == err.getvalue().startswith("error: ")
+    if code != 2:
+        json.loads(out.getvalue())

@@ -29,8 +29,9 @@ def test_site_validation():
     assert site.p == 13
 
 
-@pytest.mark.parametrize("modulus,p", [(0, 7), (1, 7), (12, 17), (12, 15)],
-                         ids=["modulus-zero", "modulus-one", "not-1-mod-N", "composite"])
+@pytest.mark.parametrize("modulus,p", [(0, 7), (1, 7), (12, 17), (12, 15), (12, 2)],
+                         ids=["modulus-zero", "modulus-one", "not-1-mod-N", "composite",
+                              "prime-two"])
 def test_site_for_prime_rejects(modulus, p):
     with pytest.raises(DomainError):
         site_for_prime(modulus, p)
@@ -169,3 +170,66 @@ def test_recognize_cyclotomic(ctx):
         for modulus in (0, -4):
             with pytest.raises(DomainError):
                 recognize_cyclotomic(mpf(1), modulus, ctx=ctx)
+
+
+def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials (constant term first)
+    by a monic den; the remainder has len(den) - 1 coefficients."""
+    num, quotient = list(num), []
+    for i in range(len(num) - len(den), -1, -1):
+        lead = num[i + len(den) - 1]
+        quotient.append(lead)
+        for j, d in enumerate(den):
+            num[i + j] -= lead * d
+    return quotient[::-1], (num + [0] * len(den))[:len(den) - 1]
+
+
+def _cyclotomic_polynomial(n: int) -> list[int]:
+    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly, rest = _poly_divmod(poly, _cyclotomic_polynomial(d))
+            assert not any(rest)
+    return poly
+
+
+@pytest.mark.parametrize("digits", [20, 50, 80])
+@pytest.mark.parametrize("modulus", [1, 2, 3, 4, 5, 7, 9, 12, 18, 30])
+def test_recognize_roots_of_unity(modulus, digits):
+    ctx = PrecisionContext(digits)
+    phi_n = _cyclotomic_polynomial(modulus)
+    zero = (0,) * (len(phi_n) - 1)
+    with ctx.working():
+        for k in range(modulus):
+            coords = _poly_divmod([0] * k + [1], phi_n)[1]
+            zeta = mp.expjpi(mpf(2 * k) / modulus)
+            for sign in (1, -1):
+                assert recognize_cyclotomic(sign * zeta, modulus, ctx=ctx) == \
+                    tuple(sign * c for c in coords)
+        assert recognize_cyclotomic(mpf(0), modulus, ctx=ctx) == zero
+        assert recognize_cyclotomic(mpf(10) ** -30, modulus, ctx=ctx) == zero
+        # re + pi im vanishes here; it is no cyclotomic integer
+        assert recognize_cyclotomic(mp.mpc(-mp.pi, 1), modulus, ctx=ctx) is None
+
+
+@pytest.mark.parametrize("digits", [20, 50, 80])
+def test_recognize_cyclotomic_bounds_every_coordinate(digits):
+    ctx = PrecisionContext(digits)
+    with ctx.working():
+        zeta = mp.expjpi(mpf(2) / 12)
+        z = 4 * (1 + zeta + zeta ** 2 + zeta ** 3)
+        assert recognize_cyclotomic(z, 12, max_coeff=4, ctx=ctx) == (4, 4, 4, 4)
+        assert recognize_cyclotomic(z, 12, max_coeff=3, ctx=ctx) is None
+
+
+def test_recognize_jacobi_sums_at_modulus_thirty(ctx):
+    # PSLQ takes more than mpmath's default 100 steps on these.
+    site = find_site(30)
+    with ctx.working():
+        zetas = [mp.expjpi(mpf(2 * k) / 30) for k in range(8)]
+        for a, b in ((1, 4), (1, 5), (2, 9), (3, 7)):
+            j = jacobi_sum(GammaWord.from_coeffs(30, {a: 1, b: 1, a + b: -1}), site, ctx).value
+            coeffs = recognize_cyclotomic(j, 30, max_coeff=20, ctx=ctx)
+            assert coeffs is not None
+            assert abs(sum(c * z for c, z in zip(coeffs, zetas)) - j) < mpf(10) ** -20

@@ -10,7 +10,8 @@ from cartan_gamma import (InvalidRank, NotARoot, RootSystemLabel,
 from conftest import rs
 
 
-@pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "H4", "E", "8"])
+@pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "H4", "E", "8",
+                                 "A\u00b2", "E\u2078", ""])
 def test_label_validation(bad):
     with pytest.raises(InvalidRank):
         RootSystemLabel.parse(bad)
@@ -20,6 +21,8 @@ def test_label_roundtrip():
     label = RootSystemLabel.parse("e8")
     assert (label.family, label.rank) == ("E", 8)
     assert str(label) == "E8"
+    # decimal digits of any script parse; superscripts are not decimal
+    assert RootSystemLabel.parse("A\u0663") == RootSystemLabel("A", 3)
 
 
 @pytest.mark.parametrize("text,h,npos", [
