@@ -8,8 +8,9 @@ integrals by substituting x = u**(1/p) near 0 and 1 - x = v**(1/q) near 1,
 which absorbs the endpoint powers.  The real one at n = 2 folds the square
 onto x < y, with Euler's integral for 2F1 inside; the planar one at n = 1
 takes the angular part as a 2F1, and Euler's transformation makes the
-radial part Beta-weighted.  Neither oracle evaluates the closed form's
-Gamma product; mpmath's 2F1 uses its own connection formulas near 1.
+radial part Beta-weighted; its two integrals share one table of 2F1
+values.  Neither oracle evaluates the closed form's Gamma product;
+mpmath's 2F1 uses its own connection formulas near 1.
 """
 
 from __future__ import annotations
@@ -78,11 +79,19 @@ def selberg_real_closed(params: SelbergParams, ctx: PrecisionContext):
 
 def _jacobi_weighted(p, q, g=lambda x: 1):
     """int_0^1 x**(p-1) (1-x)**(q-1) g(x) dx and its error estimate: x = u**(1/p)
-    on [0, 1/2] and 1 - x = v**(1/q) on [1/2, 1] absorb both endpoint powers."""
-    head, e_head = mp.quad(lambda u: (1 - u ** (1 / p)) ** (q - 1) * g(u ** (1 / p)),
-                           [0, 2 ** -p], error=True)
-    tail, e_tail = mp.quad(lambda v: (1 - v ** (1 / q)) ** (p - 1) * g(1 - v ** (1 / q)),
-                           [0, 2 ** -q], error=True)
+    on [0, 1/2] and 1 - x = v**(1/q) on [1/2, 1] absorb both endpoint powers.
+    1/p, q-1 and p-1 stay inside the integrands: mp.quad raises the working
+    precision while it evaluates them."""
+    def head_integrand(u):
+        x = u ** (1 / p)
+        return (1 - x) ** (q - 1) * g(x)
+
+    def tail_integrand(v):
+        y = v ** (1 / q)
+        return (1 - y) ** (p - 1) * g(1 - y)
+
+    head, e_head = mp.quad(head_integrand, [0, 2 ** -p], error=True)
+    tail, e_tail = mp.quad(tail_integrand, [0, 2 ** -q], error=True)
     return head / p + tail / q, e_head / p + e_tail / q
 
 
@@ -164,8 +173,10 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
     leaves pi int_0^1 (t^{alpha-1} + t^{-alpha-beta}) 2F1(...; t) dt.
     Euler's transformation 2F1(1-beta, 1-beta; 1; t) =
     (1-t)**(2 beta-1) 2F1(beta, beta; 1; t) (DLMF 15.8.1) makes each term a
-    Beta-weighted integral.  Raises QuadratureNotConverged when the error
-    estimate exceeds 1e-5 of the value.
+    Beta-weighted integral.  Both integrals take their tails over the same
+    nodes, so they share one table of 2F1 values, keyed on the node and the
+    working precision mp.quad sets.  Raises QuadratureNotConverged when the
+    error estimate exceeds 1e-5 of the value.
     """
     if params.n != 1:
         raise DomainError(f"complex quadrature oracle covers n = 1, got n={params.n}")
@@ -173,9 +184,16 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
     with ctx.working():
         a = ctx.to_mpf(Fraction(params.alpha))
         b = ctx.to_mpf(Fraction(params.beta))
-        (head, e_head), (tail, e_tail) = (
-            _jacobi_weighted(p, 2 * b, lambda t: mp.hyp2f1(b, b, 1, t))
-            for p in (a, 1 - a - b))
+        table = {}
+
+        def hyp(t):
+            key = (t, mp.prec)
+            if key not in table:
+                table[key] = mp.hyp2f1(b, b, 1, t)
+            return table[key]
+
+        (head, e_head), (tail, e_tail) = (_jacobi_weighted(p, 2 * b, hyp)
+                                          for p in (a, 1 - a - b))
         return mp.pi * _converged(head + tail, e_head + e_tail)
 
 

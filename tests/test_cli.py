@@ -197,14 +197,34 @@ def test_unknown_subcommand_exits_2():
     assert exc.value.code == 2
 
 
-def test_cli_import_loads_neither_numpy_nor_scipy():
+def fresh_interpreter(*args):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_commands_in_one_interpreter_print_what_they_print_alone(capsys):
+    # The benchmark runs a whole round of commands in one interpreter: after a
+    # parse error, each later command prints what it prints in a fresh one.
+    argvs = [["roots"], ["selberg", "--grid", "1"], ["verify", "all", "--type", "A2"]]
+    with pytest.raises(SystemExit) as exc:
+        main(argvs[0])
+    in_process = [(exc.value.code, *capsys.readouterr())]
+    for argv in argvs[1:]:
+        in_process.append((main(argv), *capsys.readouterr()))
+    alone = [(done.returncode, done.stdout, done.stderr)
+             for done in (fresh_interpreter("-m", "cartan_gamma.cli", *argv)
+                          for argv in argvs)]
+    assert [row[0] for row in in_process] == [2, 0, 0]
+    assert in_process == alone
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = ("import sys, cartan_gamma.cli; "
              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
-    done = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = fresh_interpreter("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
 

@@ -8,6 +8,7 @@ from cartan_gamma import (DomainError, PrecisionContext, QuadratureNotConverged,
                           real_parameter_grid, selberg_complex_closed,
                           selberg_complex_quadrature, selberg_real_closed,
                           selberg_real_quadrature)
+from cartan_gamma.selberg import _jacobi_weighted
 
 
 def test_params_validation():
@@ -137,6 +138,42 @@ def test_complex_quadrature_tracks_working_precision(digits):
             closed = selberg_complex_closed(params, ctx)
             quadrature = selberg_complex_quadrature(params, ctx)
             assert abs(quadrature - closed) < mpf(10) ** (5 - digits) * abs(closed), params
+
+
+def test_shared_2f1_table_changes_no_bit():
+    # The planar oracle's two integrals share one memo of 2F1 values; each
+    # grid point must equal, bit for bit, two calls that evaluate 2F1 afresh.
+    ctx = PrecisionContext(25)
+    for params in complex_parameter_grid():
+        with ctx.working():
+            a, b = (ctx.to_mpf(Q(v)) for v in (params.alpha, params.beta))
+            (head, _), (tail, _) = (
+                _jacobi_weighted(p, 2 * b, lambda t: mp.hyp2f1(b, b, 1, t))
+                for p in (a, 1 - a - b))
+            assert selberg_complex_quadrature(params, ctx) == mp.pi * (head + tail), params
+
+
+def test_complex_quadrature_evaluates_2f1_once_per_node(ctx, monkeypatch):
+    # At (1/4, 1/2), 1 - alpha - beta = alpha, so the second integral runs over
+    # the first one's nodes and every 2F1 value is read from the table.
+    calls, evaluations = [], [0]
+    hyp2f1, quad = mp.hyp2f1, mp.quad
+
+    def counted_hyp2f1(*args):
+        calls.append((args[3], mp.prec))
+        return hyp2f1(*args)
+
+    def counted_quad(f, *args, **kwargs):
+        def integrand(x):
+            evaluations[0] += 1
+            return f(x)
+        return quad(integrand, *args, **kwargs)
+
+    monkeypatch.setattr(mp, "hyp2f1", counted_hyp2f1)
+    monkeypatch.setattr(mp, "quad", counted_quad)
+    selberg_complex_quadrature(SelbergParams(Q(1, 4), Q(1, 2), 0, 1), ctx)
+    assert len(calls) == len(set(calls))
+    assert 0 < 2 * len(calls) <= evaluations[0]
 
 
 @pytest.mark.parametrize("alpha,beta", [
