@@ -137,26 +137,35 @@ def gauss_sum(a, site: PrimeSite, ctx: PrecisionContext,
     ``additive_scale`` replaces the standard additive character x -> e(x/p)
     by x -> e(c x / p); used to check that normalized word sums do not
     depend on this choice.
+
+    The first call at a site, context and scale computes all N - 1 sums in
+    one sweep over the field: p - 1 root evaluations e(c x / p) and
+    (N - 1)(p - 1) multiply-adds.  Later calls read the memo.
     """
     j = _residue_index(a, site.modulus)
     if additive_scale % site.p == 0:
         raise DomainError("additive character scale must be nonzero mod p")
-    return CharacterSum(value=_gauss_value(j, site, ctx, additive_scale % site.p),
+    return CharacterSum(value=_gauss_values(site, ctx, additive_scale % site.p)[j],
                         site=site, residue=Fraction(j, site.modulus))
 
 
 @lru_cache(maxsize=None)
-def _gauss_value(j: int, site: PrimeSite, ctx: PrecisionContext, scale: int):
-    # x = g**m visits each nonzero residue once: each e(c x / p) is used once.
+def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
+    # x = g**m visits each nonzero residue once, and each e(c x / p) is
+    # computed once and added to every residue's total in the order of m:
+    # each sum sees the terms, order and precision it would see alone.
+    # Index j holds the sum for j/N; index 0 is unused.
     n, p, g = site.modulus, site.p, site.generator
     with ctx.working():
         zeta_n = _zeta_powers(n, ctx.digits)
-        total = mp.mpc(0)
+        totals = [mp.mpc(0)] * n
         x = 1
         for m in range(p - 1):
-            total += zeta_n[(j * m) % n] * mp.expjpi(mpf(2 * ((scale * x) % p)) / p)
+            root = mp.expjpi(mpf(2 * ((scale * x) % p)) / p)
+            for j in range(1, n):
+                totals[j] += zeta_n[(j * m) % n] * root
             x = (x * g) % p
-        return -total
+        return (None, *(-total for total in totals[1:]))
 
 
 def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from mpmath import mp, mpf
 
+from cartan_gamma import jacobi
 from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
                           SearchExhausted, find_site, gauss_sum, hecke_value,
                           jacobi_sum, psi_order, recognize_cyclotomic, site_for_prime,
@@ -56,6 +57,56 @@ def test_quadratic_gauss_sum(ctx):
         g = gauss_sum(Q(1, 2), site, ctx).value
         assert abs(g ** 2 - 5) < mpf(10) ** -38
         assert abs(g.imag) < mpf(10) ** -38
+
+
+def _one_residue_gauss_sum(j, site, ctx, scale):
+    """Negated sum of chi_j(x) e(c x / p) for one residue j alone, summed
+    over x = g**m in the order of m."""
+    n, p, g = site.modulus, site.p, site.generator
+    with ctx.working():
+        zeta_n = [mp.expjpi(mpf(2 * k) / n) for k in range(n)]
+        total = mp.mpc(0)
+        x = 1
+        for m in range(p - 1):
+            total += zeta_n[(j * m) % n] * mp.expjpi(mpf(2 * ((scale * x) % p)) / p)
+            x = (x * g) % p
+        return -total
+
+
+@pytest.mark.parametrize("digits", [20, 50])
+@pytest.mark.parametrize("modulus,p", [(2, 5), (12, 37), (18, 19)])
+def test_one_sweep_gauss_sums_equal_one_residue_sums_bitwise(modulus, p, digits):
+    # Every residue's sum shares one sweep over the field; each must keep the
+    # terms, order and precision of its own sum, so no bit may change.
+    jacobi._gauss_values.cache_clear()
+    site, ctx = site_for_prime(modulus, p), PrecisionContext(digits)
+    for scale in (1, 5):
+        if scale % p == 0:
+            with pytest.raises(DomainError):
+                gauss_sum(1, site, ctx, additive_scale=scale)
+            continue
+        for j in range(1, modulus):
+            assert gauss_sum(j, site, ctx, additive_scale=scale).value == \
+                _one_residue_gauss_sum(j, site, ctx, scale)
+
+
+def test_one_sweep_evaluates_each_additive_character_once(monkeypatch):
+    # E6 words cover every nonzero residue mod 12; one residue at a time
+    # would take (N - 1)(p - 1) = 396 root evaluations here.
+    jacobi._gauss_values.cache_clear()
+    site, ctx = site_for_prime(12, 37), PrecisionContext(30)
+    calls = [0]
+    expjpi = mp.expjpi
+
+    def counted_expjpi(x):
+        calls[0] += 1
+        return expjpi(x)
+
+    monkeypatch.setattr(mp, "expjpi", counted_expjpi)
+    system = rs("E6")
+    for i in range(1, system.rank + 1):
+        hecke_value(word_of_root_system(system, i), site, ctx)
+    assert 0 < calls[0] <= (site.p - 1) + site.modulus
 
 
 def test_jacobi_sum_values(ctx):
