@@ -16,9 +16,10 @@ from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
                       affine_cartan_matrix_dual, build_root_system,
                       coroot_pairing, height, rational_nullspace,
                       simple_coroot_pairing)
-from .selberg import (SelbergParams, complex_parameter_grid, real_parameter_grid,
-                      selberg_complex_closed, selberg_complex_quadrature,
-                      selberg_real_closed, selberg_real_quadrature)
+from .selberg import (SelbergParams, complex_parameter_grid, cross_validate,
+                      real_parameter_grid, selberg_complex_closed,
+                      selberg_complex_quadrature, selberg_real_closed,
+                      selberg_real_quadrature)
 from .specialfn import (PrecisionContext, cos_pi, gamma, gamma_tilde, pi_value,
                         pow_rat, s_factor, sin_pi, trig_identities_suite)
 from .spectra import (EigenResult, affine_gamma_vector, gamma_ratio_profile,

@@ -22,9 +22,8 @@ from .jacobi import (find_site, hecke_value, jacobi_sum, psi_order,
                      recognize_cyclotomic, site_for_prime)
 from .reports import decimal_string
 from .rootkit import RootSystemLabel, build_root_system
-from .selberg import (complex_parameter_grid, real_parameter_grid,
-                      selberg_complex_closed, selberg_complex_quadrature,
-                      selberg_real_closed, selberg_real_quadrature)
+from .selberg import (complex_parameter_grid, cross_validate, real_parameter_grid,
+                      selberg_complex_closed, selberg_real_closed)
 from .spectra import (affine_theorem, gamma_ratio_profile, gamma_vector, lambda_min,
                       mass_vector_closed_form, pf_power_iteration,
                       verify_affine_masses, verify_membership,
@@ -334,16 +333,15 @@ def _cmd_selberg(args, ctx, tol):
     lines = ["closed form vs quadrature oracle"]
     rows = []
     ok = True
+    real_oracle, complex_oracle = cross_validate(real_grid, complex_grid, ctx)
     with ctx.working():
-        for params in real_grid:
+        for params, quadrature in zip(real_grid, real_oracle):
             closed = selberg_real_closed(params, ctx)
-            quadrature = selberg_real_quadrature(params, ctx)
             rel = abs(quadrature - closed) / abs(closed)
             ok &= rel < mpf("1e-8")
             entries.append(_selberg_entry("real", params, closed, quadrature, rel, ctx))
-        for params in complex_grid:
+        for params, quadrature in zip(complex_grid, complex_oracle):
             closed = selberg_complex_closed(params, ctx)
-            quadrature = selberg_complex_quadrature(params, ctx)
             rel = abs(quadrature - closed) / abs(closed)
             ok &= rel < mpf("1e-6")
             entries.append(_selberg_entry("complex", params, closed, quadrature, rel, ctx))

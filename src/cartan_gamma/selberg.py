@@ -10,11 +10,14 @@ onto x < y, with Euler's integral for 2F1 inside; the planar one at n = 1
 takes the angular part as a 2F1, and Euler's transformation makes the
 radial part Beta-weighted; its two integrals share one table of 2F1
 values.  Neither oracle evaluates the closed form's Gamma product;
-mpmath's 2F1 uses its own connection formulas near 1.
+mpmath's 2F1 uses its own connection formulas near 1.  cross_validate
+computes the oracles of a whole grid, one forked process per CPU, with
+the same bits as a serial loop.
 """
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -88,7 +91,11 @@ def _jacobi_weighted(p, q, g=lambda x: 1):
 
     def tail_integrand(v):
         y = v ** (1 / q)
-        return (1 - y) ** (p - 1) * g(1 - y)
+        # 1 - y exactly: once y falls below the working epsilon, a rounded
+        # complement would drop g's branch term (1-x)**s at x = 1.
+        with mp.extraprec(max(0, -mp.mag(y)) + 10):
+            c = 1 - y
+        return c ** (p - 1) * g(c)
 
     head, e_head = mp.quad(head_integrand, [0, 2 ** -p], error=True)
     tail, e_tail = mp.quad(tail_integrand, [0, 2 ** -q], error=True)
@@ -195,6 +202,34 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
         (head, e_head), (tail, e_tail) = (_jacobi_weighted(p, 2 * b, hyp)
                                           for p in (a, 1 - a - b))
         return mp.pi * _converged(head + tail, e_head + e_tail)
+
+
+def cross_validate(real_grid, complex_grid, ctx: PrecisionContext):
+    """Quadrature oracle values of the real and of the complex grid, each
+    list in grid order.  The points are independent, so they run on a pool
+    of forked processes, one per usable CPU; with one CPU, or without
+    ``fork``, they run in this process.  The complex points are submitted
+    first, as each costs two to four real ones.  Pickling keeps every mpf
+    bit for bit, and an oracle's CartanGammaError is raised again here."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    jobs = ([(selberg_complex_quadrature, p) for p in complex_grid]
+            + [(selberg_real_quadrature, p) for p in real_grid])
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(jobs), cpus)
+    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
+        values = [oracle(p, ctx) for oracle, p in jobs]
+    else:
+        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+            futures = [pool.submit(oracle, p, ctx) for oracle, p in jobs]
+            try:
+                values = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)
+                raise
+    n_complex = len(complex_grid)
+    return values[n_complex:], values[:n_complex]
 
 
 def real_parameter_grid() -> tuple[SelbergParams, ...]:

@@ -20,19 +20,23 @@ from .errors import DomainError, PoleError
 from .reports import VerificationReport
 
 GUARD_DIGITS = 15
+# One Gamma vector already takes minutes at this precision on mpmath's
+# python backend, and far above it mpmath cannot allocate its numbers.
+MAX_DIGITS = 10_000
 
 Rational = Fraction | int
 
 
 @dataclass(frozen=True)
 class PrecisionContext:
-    """Working precision in decimal digits (default 50, minimum 20)."""
+    """Working precision in decimal digits (default 50, from 20 to MAX_DIGITS)."""
 
     digits: int = 50
 
     def __post_init__(self) -> None:
-        if self.digits < 20:
-            raise DomainError(f"precision must be at least 20 digits, got {self.digits}")
+        if not 20 <= self.digits <= MAX_DIGITS:
+            raise DomainError(f"precision must be 20 to {MAX_DIGITS} digits, "
+                              f"got {self.digits}")
 
     @property
     def tolerance(self):

@@ -241,16 +241,16 @@ def test_criterion_7_character_sums():
 
 
 def test_criterion_8_integral_cross_validation():
+    real_grid, complex_grid = cg.real_parameter_grid(), cg.complex_parameter_grid()
+    real_oracle, complex_oracle = cg.cross_validate(real_grid, complex_grid, CTX)
     worst_real = mpf(0)
     worst_complex = mpf(0)
     with CTX.working():
-        for params in cg.real_parameter_grid():
+        for params, quadrature in zip(real_grid, real_oracle):
             closed = cg.selberg_real_closed(params, CTX)
-            quadrature = cg.selberg_real_quadrature(params, CTX)
             worst_real = max(worst_real, abs(quadrature - closed) / abs(closed))
-        for params in cg.complex_parameter_grid():
+        for params, quadrature in zip(complex_grid, complex_oracle):
             closed = cg.selberg_complex_closed(params, CTX)
-            quadrature = cg.selberg_complex_quadrature(params, CTX)
             worst_complex = max(worst_complex, abs(quadrature - closed) / abs(closed))
     ok = worst_real < TOL_REAL_QUAD and worst_complex < TOL_COMPLEX_QUAD
     _emit(8, ok, f"integral oracles: real {mp.nstr(worst_real, 5)}, "

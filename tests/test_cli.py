@@ -1,5 +1,6 @@
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -221,9 +222,46 @@ def test_commands_in_one_interpreter_print_what_they_print_alone(capsys):
     assert in_process == alone
 
 
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the process may run on, hence the oracle pool's size."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return use
+
+
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_selberg_prints_the_same_bytes_with_and_without_the_pool(capsys, cpus, fmt):
+    argv = ["selberg", "--grid", "3", "--digits", "20", "--format", fmt]
+    cpus(2)
+    pooled = run(capsys, *argv)
+    cpus(1)
+    assert run(capsys, *argv) == pooled
+    assert pooled[0] == 0
+
+
+def test_selberg_oracle_error_in_a_worker_exits_2(capsys, monkeypatch, cpus):
+    # An error estimate as large as the value fails the oracles' guard.
+    cpus(2)
+    monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: (mpf(1), mpf(1)))
+    code, out, err = run(capsys, "selberg", "--grid", "2", "--digits", "20")
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = ("import sys, cartan_gamma.cli; "
              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
+    done = fresh_interpreter("-c", probe)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_process_pool():
+    # selberg imports these when it runs: they would add to every start-up.
+    probe = ("import sys, cartan_gamma.cli; pool = {'multiprocessing', "
+             "'concurrent.futures'}; print(sorted(pool & set(sys.modules)))")
     done = fresh_interpreter("-c", probe)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
@@ -270,6 +308,8 @@ def missing_dir_out(tmp_path_factory):
          out_missing=False, env_digits=None)
 @example(argv=["roots", "--type", "A\u00b2", "--format", "json"], out_missing=False,
          env_digits=None)
+@example(argv=["gamma", "--type", "G2", "--digits", "20000000000", "--format", "json"],
+         out_missing=False, env_digits=None)
 def test_cli_exit_contract(missing_dir_out, argv, out_missing, env_digits):
     if out_missing:
         argv = [*argv, "--out", missing_dir_out]

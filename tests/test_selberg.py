@@ -1,11 +1,13 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cartan_gamma import (DomainError, PrecisionContext, QuadratureNotConverged,
-                          SelbergParams, complex_parameter_grid, gamma, gamma_tilde,
-                          real_parameter_grid, selberg_complex_closed,
+                          SelbergParams, complex_parameter_grid, cross_validate, gamma,
+                          gamma_tilde, real_parameter_grid, selberg_complex_closed,
                           selberg_complex_quadrature, selberg_real_closed,
                           selberg_real_quadrature)
 from cartan_gamma.selberg import _jacobi_weighted
@@ -50,6 +52,56 @@ def test_real_quadrature_matches_closed_form(ctx):
         exact = selberg_real_quadrature(SelbergParams(2, 3, 1, 2), ctx)
         closed = selberg_real_closed(SelbergParams(2, 3, 1, 2), ctx)
         assert abs(exact - closed) < mpf(10) ** -10 * abs(closed)
+
+
+@pytest.mark.parametrize("params", [
+    SelbergParams(Q(1, 50), Q(1, 50), Q(1, 50), 2),
+    SelbergParams(Q(1, 10), Q(1, 20), Q(1, 30), 2),
+], ids=["1/50,1/50,1/50", "1/10,1/20,1/30"])
+def test_real_quadrature_with_a_weak_branch_at_1(ctx, params):
+    # 2F1(1-b, a; a+2r+1; x) has a (1-x)**(2r+b) term at x = 1; with 2r+b
+    # small it is still large at tail nodes where x = 1 - v**(1/b) rounds to 1.
+    with ctx.working():
+        closed = selberg_real_closed(params, ctx)
+        quadrature = selberg_real_quadrature(params, ctx)
+        assert abs(quadrature - closed) < mpf(10) ** -20 * abs(closed)
+
+
+def rationals(hi):
+    """n/d strictly between 0 and hi, with d <= 60."""
+    return st.integers(2, 60).flatmap(
+        lambda d: st.integers(1, hi * d - 1).map(lambda n: Q(n, d)))
+
+
+@st.composite
+def oracle_points(draw):
+    case = draw(st.sampled_from(["real", "complex"]))
+    if case == "complex":
+        alpha, beta = draw(rationals(1)), draw(rationals(1))
+        assume(alpha + beta < 1)
+        return case, SelbergParams(alpha, beta, 0, 1)
+    rho = draw(st.just(0) | rationals(3))
+    return case, SelbergParams(draw(rationals(3)), draw(rationals(3)), rho,
+                               draw(st.sampled_from([1, 2])))
+
+
+@settings(max_examples=20, deadline=None)
+@given(point=oracle_points(), digits=st.integers(20, 25))
+@example(point=("real", SelbergParams(Q(1, 50), Q(1, 50), Q(1, 50), 2)), digits=20)
+def test_oracles_agree_with_closed_forms_or_raise(point, digits):
+    case, params = point
+    ctx = PrecisionContext(digits)
+    oracle, closed_form = {
+        "real": (selberg_real_quadrature, selberg_real_closed),
+        "complex": (selberg_complex_quadrature, selberg_complex_closed),
+    }[case]
+    try:
+        quadrature = oracle(params, ctx)
+    except QuadratureNotConverged:
+        return
+    with ctx.working():
+        closed = closed_form(params, ctx)
+        assert abs(quadrature - closed) < mpf(10) ** -8 * abs(closed)
 
 
 @pytest.mark.parametrize("oracle,params", [
@@ -133,10 +185,11 @@ def test_complex_quadrature_tracks_working_precision(digits):
     # powers the substitutions absorb, so the oracle keeps all but a few of
     # the working digits.
     ctx = PrecisionContext(digits)
+    grid = complex_parameter_grid()
+    _, oracle = cross_validate((), grid, ctx)
     with ctx.working():
-        for params in complex_parameter_grid():
+        for params, quadrature in zip(grid, oracle):
             closed = selberg_complex_closed(params, ctx)
-            quadrature = selberg_complex_quadrature(params, ctx)
             assert abs(quadrature - closed) < mpf(10) ** (5 - digits) * abs(closed), params
 
 

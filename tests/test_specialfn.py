@@ -9,12 +9,16 @@ from mpmath import mp, mpf
 from cartan_gamma import (DomainError, PoleError, PrecisionContext, gamma,
                           gamma_tilde, pi_value, pow_rat, s_factor, sin_pi,
                           trig_identities_suite)
+from cartan_gamma.specialfn import MAX_DIGITS
 
 
 def test_context_validation():
     with pytest.raises(DomainError):
         PrecisionContext(10)
+    with pytest.raises(DomainError):
+        PrecisionContext(MAX_DIGITS + 1)
     assert PrecisionContext().digits == 50
+    assert PrecisionContext(MAX_DIGITS).digits == MAX_DIGITS
 
 
 def test_gamma_classics(ctx):
