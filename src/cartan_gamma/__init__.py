@@ -14,8 +14,7 @@ from .jacobi import (CharacterSum, PrimeSite, find_site, gauss_sum, hecke_value,
 from .reports import VerificationReport, decimal_string
 from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
                       affine_cartan_matrix_dual, build_root_system,
-                      coroot_pairing, height, rational_nullspace,
-                      simple_coroot_pairing)
+                      coroot_pairing, height, simple_coroot_pairing)
 from .selberg import (SelbergParams, complex_parameter_grid, cross_validate,
                       real_parameter_grid, selberg_complex_closed,
                       selberg_complex_quadrature, selberg_real_closed,

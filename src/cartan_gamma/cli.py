@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 
 from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
-from .jacobi import (find_site, hecke_value, jacobi_sum, psi_order,
+from .jacobi import (MAX_PRIME, find_site, hecke_value, jacobi_sum, psi_order,
                      recognize_cyclotomic, site_for_prime)
 from .reports import decimal_string
 from .rootkit import RootSystemLabel, build_root_system
@@ -87,7 +87,7 @@ def _build_parser() -> argparse.ArgumentParser:
     jac = sub.add_parser("jacobi", parents=[common, typed],
                          help="character sums at a degree-one prime site")
     jac.add_argument("--prime", type=int, default=None,
-                     help="use this prime (must be 1 mod h)")
+                     help=f"use this prime (must be 1 mod h, at most {MAX_PRIME:,})")
     jac.add_argument("--pmin", type=int, default=2,
                      help="smallest admissible prime to search from")
 

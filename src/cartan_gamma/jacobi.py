@@ -28,8 +28,14 @@ from .errors import DomainError, NotInC, SearchExhausted
 from .gammawords import GammaWord, classify
 from .specialfn import PrecisionContext
 
+# Largest prime a site may use, and find_site's default search cap.
+MAX_PRIME = 10_000_000
+
 
 def _is_prime(n: int) -> bool:
+    """Trial division; DomainError above MAX_PRIME, where it could stall."""
+    if n > MAX_PRIME:
+        raise DomainError(f"{n} exceeds the largest supported prime {MAX_PRIME}")
     if n < 2:
         return False
     if n % 2 == 0:
@@ -86,7 +92,7 @@ class PrimeSite:
             raise DomainError(f"{self.p} is not prime")
 
 
-def find_site(modulus: int, p_min: int = 2, cap: int = 10_000_000) -> PrimeSite:
+def find_site(modulus: int, p_min: int = 2, cap: int = MAX_PRIME) -> PrimeSite:
     """Smallest admissible prime site with p >= p_min."""
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
@@ -102,7 +108,7 @@ def find_site(modulus: int, p_min: int = 2, cap: int = 10_000_000) -> PrimeSite:
 
 
 def site_for_prime(modulus: int, p: int) -> PrimeSite:
-    """Site at an explicitly chosen prime."""
+    """Site at an explicitly chosen prime, at most MAX_PRIME."""
     if not _is_prime(p):
         raise DomainError(f"{p} is not prime")
     return PrimeSite(modulus, p, _least_primitive_root(p))

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidRank, NotARoot
 
@@ -273,7 +273,7 @@ def simple_coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
     if not rs.is_root(t):
         raise NotARoot(f"{t} is not a root of {rs.label}")
     rs._check_index(i)
-    return _simple_pairings(rs.cartan, t)[i - 1]
+    return sum(a * row[i - 1] for a, row in zip(t, rs.cartan))
 
 
 def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
@@ -293,30 +293,3 @@ def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
 def affine_cartan_matrix_dual(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """Transpose of the affine matrix; its kernel contains the comarks."""
     return tuple(zip(*affine_cartan_matrix(rs)))
-
-
-def rational_nullspace(matrix: Iterable[Iterable]) -> list[tuple[Q, ...]]:
-    """Exact kernel basis of a rational matrix via Gaussian elimination over Q."""
-    rows = [list(map(Q, row)) for row in matrix]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots: dict[int, list[Q]] = {}
-    for row in rows:
-        for col in sorted(pivots):
-            if row[col]:
-                factor = row[col] / pivots[col][col]
-                row[:] = [a - factor * b for a, b in zip(row, pivots[col])]
-        lead = next((j for j, a in enumerate(row) if a), None)
-        if lead is not None:
-            pivots[lead] = row
-    free = [j for j in range(ncols) if j not in pivots]
-    basis = []
-    for f in free:
-        vec = [Q(0)] * ncols
-        vec[f] = Q(1)
-        for col in sorted(pivots, reverse=True):
-            row = pivots[col]
-            vec[col] = -sum(row[j] * vec[j] for j in range(col + 1, ncols)) / row[col]
-        basis.append(tuple(vec))
-    return basis

@@ -23,7 +23,7 @@ from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
 from .reports import VerificationReport
-from .rootkit import RootSystem, RootSystemLabel, rational_nullspace
+from .rootkit import RootSystem, RootSystemLabel
 from .specialfn import PrecisionContext, pow_rat
 
 SIMPLY_LACED = "ADE"
@@ -46,20 +46,29 @@ class EigenResult:
 
 
 def _positive_inverse(cartan) -> list[list[Q]]:
-    """Exact inverse of a Cartan matrix, read off the kernel of [A | -I].
+    """Exact inverse of a Cartan matrix by fraction-free Gauss-Jordan
+    elimination (Bareiss, Math. Comp. 22, 1968) of the integer matrix [A | I].
 
-    The kernel basis must come back as (x_j, e_j), so that A x_j = e_j, and
-    every entry of the inverse must be positive; otherwise DomainError.
+    Every division by the previous pivot is exact, and [A | I] ends as
+    [d I | d A^-1], d = +-det A.  Input that is not a nonempty square int
+    matrix, a singular A, or a non-positive inverse raises DomainError.
     """
     n = len(cartan)
-    if not n:
-        raise DomainError("an empty matrix is not a finite-type Cartan matrix")
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    kernel = rational_nullspace([list(row) + [-e for e in unit]
-                                 for row, unit in zip(cartan, identity)])
-    if [list(x[n:]) for x in kernel] != identity:
-        raise DomainError(f"Cartan matrix {cartan} is singular")
-    inverse = [[x[i] for x in kernel] for i in range(n)]
+    if not n or not all(len(row) == n and all(isinstance(a, int) for a in row)
+                        for row in cartan):
+        raise DomainError(f"{cartan} is not a nonempty square integer matrix")
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
+    d = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            raise DomainError(f"Cartan matrix {cartan} is singular")
+        m[k], m[pivot] = m[pivot], m[k]
+        top = m[k]
+        m = [row if i == k else [(top[k] * a - row[k] * b) // d for a, b in zip(row, top)]
+             for i, row in enumerate(m)]
+        d = top[k]
+    inverse = [[Q(a, d) for a in row[n:]] for row in m]
     if not all(q > 0 for row in inverse for q in row):
         raise DomainError(f"inverse of {cartan} is not entrywise positive, "
                           f"so it is not the Cartan matrix of a finite "
@@ -80,7 +89,7 @@ def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
     positive eigenvector unique up to scale and no other eigenvalue of equal
     modulus; so the iteration converges to that vector, at the rate
     lambda_min/lambda_2, and the check certifies its uniqueness.
-    Singular, reducible and indefinite matrices raise DomainError.
+    Non-integer, singular, reducible and indefinite matrices raise DomainError.
     After the successive-iterate test passes, iteration continues until the
     geometric error estimate drops below tol, so the returned vector is
     accurate to tol, not merely Cauchy at tol.

@@ -166,9 +166,10 @@ ROOTS = ["roots", "--type", "A2"]
     ([*ROOTS, "--out", "/nonexistent-dir/report.txt"], None),
     (["selberg", "--grid", "-1"], None),
     (["jacobi", "--type", "E6", "--prime", "2"], None),
+    (["jacobi", "--type", "E6", "--prime", "1000000000000000000000177"], None),
     (["roots", "--type", "A\u00b2"], None),
 ], ids=["tol", "tol-inf", "tol-nan", "tol-negative", "digits-env", "out-dir",
-        "grid-negative", "prime-two", "label-superscript"])
+        "grid-negative", "prime-two", "prime-huge", "label-superscript"])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("CARTAN_GAMMA_DIGITS", env)
@@ -309,6 +310,8 @@ def missing_dir_out(tmp_path_factory):
 @example(argv=["roots", "--type", "A\u00b2", "--format", "json"], out_missing=False,
          env_digits=None)
 @example(argv=["gamma", "--type", "G2", "--digits", "20000000000", "--format", "json"],
+         out_missing=False, env_digits=None)
+@example(argv=["jacobi", "--type", "E6", "--prime", "1000000000000000000000177"],
          out_missing=False, env_digits=None)
 def test_cli_exit_contract(missing_dir_out, argv, out_missing, env_digits):
     if out_missing:

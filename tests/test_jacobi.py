@@ -38,6 +38,21 @@ def test_site_for_prime_rejects(modulus, p):
         site_for_prime(modulus, p)
 
 
+def test_site_for_prime_stops_at_max_prime():
+    assert jacobi.MAX_PRIME == 10_000_000
+    # 9,999,973 and 10,000,141 are the primes = 1 mod 12 on either side of the
+    # bound, and 10**24 + 177 is one too; the range is checked before any
+    # primality test.
+    assert site_for_prime(12, 9_999_973).p == find_site(12, p_min=9_999_973).p
+    with pytest.raises(SearchExhausted):
+        find_site(12, p_min=9_999_974)
+    for p in (10_000_141, 10**24 + 177):
+        with pytest.raises(DomainError, match="largest supported prime"):
+            site_for_prime(12, p)
+        with pytest.raises(DomainError, match="largest supported prime"):
+            PrimeSite(12, p, 2)
+
+
 def test_gauss_sum_magnitudes(ctx):
     site = find_site(12)
     with ctx.working():

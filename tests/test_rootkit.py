@@ -6,8 +6,8 @@ import pytest
 from cartan_gamma import (InvalidRank, NotARoot, RootSystemLabel,
                           affine_cartan_matrix, affine_cartan_matrix_dual,
                           build_root_system, coroot_pairing, height,
-                          rational_nullspace, simple_coroot_pairing)
-from conftest import rs
+                          simple_coroot_pairing)
+from conftest import rational_nullspace, rs
 
 
 @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "H4", "E", "8",
@@ -120,13 +120,17 @@ def test_pairing_table_matches_fraction_reference(battery):
         system = build_root_system(label)
         g, r = system.gram, system.rank
         for positive in system.positive_roots:
-            for root in (positive, tuple(-c for c in positive)):
-                g_root = [sum(Q(g[i][j]) * root[j] for j in range(r)) for i in range(r)]
-                norm = sum(c * x for c, x in zip(root, g_root))
-                for i in range(1, r + 1):
-                    assert coroot_pairing(system, root, i) == 2 * g_root[i - 1] / norm
-                    assert (simple_coroot_pairing(system, root, i)
-                            == 2 * g_root[i - 1] / g[i - 1][i - 1])
+            negative = tuple(-c for c in positive)
+            g_root = [sum(g[i][j] * positive[j] for j in range(r)) for i in range(r)]
+            norm = sum(c * x for c, x in zip(positive, g_root))
+            for i in range(1, r + 1):
+                # -alpha has the same norm and the negated products.
+                coroot = 2 * g_root[i - 1] / norm
+                simple = 2 * g_root[i - 1] / g[i - 1][i - 1]
+                assert coroot_pairing(system, positive, i) == coroot
+                assert coroot_pairing(system, negative, i) == -coroot
+                assert simple_coroot_pairing(system, positive, i) == simple
+                assert simple_coroot_pairing(system, negative, i) == -simple
 
 
 def test_root_system_compares_by_label():

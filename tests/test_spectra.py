@@ -7,10 +7,11 @@ from cartan_gamma import (DomainError, NoConvergence, affine_cartan_matrix,
                           affine_gamma_vector, build_root_system,
                           gamma_ratio_profile, gamma_vector, lambda_min,
                           mark_power_product, mass_vector_closed_form,
-                          pf_power_iteration, pow_rat, rational_nullspace,
-                          verify_affine_masses, verify_membership,
-                          verify_pairing_sums, verify_pf_eigenvector)
-from conftest import rs
+                          pf_power_iteration, pow_rat, verify_affine_masses,
+                          verify_membership, verify_pairing_sums,
+                          verify_pf_eigenvector)
+from cartan_gamma.spectra import _positive_inverse
+from conftest import rational_nullspace, rs
 
 
 def test_lambda_min_values(ctx):
@@ -73,6 +74,12 @@ def test_inverse_cartan_matrix_is_positive(battery):
                    for i, row in enumerate(cartan)
                    for j, col in enumerate(columns)), label
         assert all(q > 0 for col in columns for q in col), label
+        assert _positive_inverse(cartan) == [list(row) for row in zip(*columns)], label
+
+
+def test_inverse_swaps_rows_past_a_zero_pivot():
+    cartan = ((0, 2, -1), (2, -3, 1), (-1, 1, 0))
+    assert _positive_inverse(cartan) == [[1, 1, 1], [1, 1, 2], [1, 2, 4]]
 
 
 def test_power_iteration_takes_few_steps(ctx, battery):
@@ -86,7 +93,11 @@ def test_power_iteration_takes_few_steps(ctx, battery):
     ((2, 0), (0, 2)),                # reducible
     ((2, -3), (-3, 2)),              # indefinite
     (),                              # empty
-], ids=["affine-A2", "zero", "reducible", "indefinite", "empty"])
+    ((2, -1), (-1,)),                # jagged
+    ((2, -1),),                      # not square
+    ((2.0, -1.0), (-1.0, 2.0)),      # not integers
+], ids=["affine-A2", "zero", "reducible", "indefinite", "empty", "jagged", "non-square",
+        "float"])
 def test_power_iteration_rejects_non_finite_types(ctx, cartan):
     with pytest.raises(DomainError):
         pf_power_iteration(cartan, ctx)
