@@ -4,12 +4,15 @@ At a prime p = 1 (mod h), each exponent word turns into a product of
 character sums.  For the words coming from root systems the normalized
 value has unit modulus, does not depend on the additive character, and is
 recognized as an actual root of unity in the h-th cyclotomic field.
+
+A site is PrimeSite(N, p); its primitive root is derived from p.  The
+character sums are returned as plain complex numbers.
 """
 
 from mpmath import mp, mpf
 
-from cartan_gamma import (PrecisionContext, RootSystemLabel, build_root_system,
-                          find_site, gauss_sum, hecke_value, jacobi_sum,
+from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel,
+                          build_root_system, find_site, gauss_sum, hecke_value, jacobi_sum,
                           psi_order, recognize_cyclotomic, word_of_root_system)
 
 ctx = PrecisionContext(50)
@@ -20,14 +23,18 @@ print(f"site: N = {site.modulus}, p = {site.p}, primitive root {site.generator}"
 with ctx.working():
     print("single character sums have magnitude sqrt(p):")
     for j in (1, 5, 7):
-        g = gauss_sum(j, site, ctx).value
+        g = gauss_sum(j, site, ctx)
         print(f"   |g({j}/12)|^2 - 13 = {mp.nstr(abs(g)**2 - 13, 3)}")
+    other = PrimeSite(12, 73)
+    g = gauss_sum(1, other, ctx)
+    print(f"   at p = 73 (primitive root {other.generator}): "
+          f"|g(1/12)|^2 - 73 = {mp.nstr(abs(g)**2 - 73, 3)}")
 
     print()
     print("normalized word sums at the words of E6:")
     for i in range(1, 7):
         w = word_of_root_system(e6, i)
-        j = jacobi_sum(w, site, ctx).value
+        j = jacobi_sum(w, site, ctx)
         psi = hecke_value(w, site, ctx)
         coeffs = recognize_cyclotomic(psi, 12, max_coeff=4, tol=mpf(10) ** -20, ctx=ctx)
         order = psi_order(w, site, ctx)

@@ -9,8 +9,8 @@ from .gammawords import (GammaWord, MembershipVerdict, classify, evaluate,
                          evaluate_gamma_ratio, evaluate_sine_product, n_of,
                          pairing_height_sum, tilde, u_act, units,
                          word_of_root_system)
-from .jacobi import (CharacterSum, PrimeSite, find_site, gauss_sum, hecke_value,
-                     jacobi_sum, psi_order, recognize_cyclotomic, site_for_prime)
+from .jacobi import (PrimeSite, find_site, gauss_sum, hecke_value, jacobi_sum,
+                     psi_order, recognize_cyclotomic)
 from .reports import VerificationReport, decimal_string
 from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
                       affine_cartan_matrix_dual, build_root_system,

@@ -18,8 +18,8 @@ from mpmath import mp, mpf
 
 from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
-from .jacobi import (MAX_PRIME, find_site, hecke_value, jacobi_sum, psi_order,
-                     recognize_cyclotomic, site_for_prime)
+from .jacobi import (MAX_PRIME, PrimeSite, find_site, hecke_value, jacobi_sum,
+                     psi_order, recognize_cyclotomic)
 from .reports import decimal_string
 from .rootkit import RootSystemLabel, build_root_system
 from .selberg import (complex_parameter_grid, cross_validate, real_parameter_grid,
@@ -286,7 +286,7 @@ def _cmd_jacobi(args, ctx, tol):
     rs = build_root_system(RootSystemLabel.parse(args.label))
     n = rs.h
     if args.prime is not None:
-        site = site_for_prime(n, args.prime)
+        site = PrimeSite(n, args.prime)
     else:
         site = find_site(n, p_min=args.pmin)
     entries = []
@@ -296,7 +296,7 @@ def _cmd_jacobi(args, ctx, tol):
     worst = mpf(0)
     for i in range(1, rs.rank + 1):
         w = word_of_root_system(rs, i)
-        jval = jacobi_sum(w, site, ctx).value
+        jval = jacobi_sum(w, site, ctx)
         psi = hecke_value(w, site, ctx)
         with ctx.working():
             magnitude_residual = abs(abs(psi) - 1)

@@ -39,3 +39,9 @@ class NoConvergence(CartanGammaError):
 
 class QuadratureNotConverged(CartanGammaError):
     """Successive quadrature refinements disagree beyond tolerance."""
+
+
+def require_int(value, what: str, error: type = DomainError) -> None:
+    """Raise ``error`` unless value is an int; a bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{what} must be an integer, got {value!r}")

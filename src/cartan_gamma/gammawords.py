@@ -22,7 +22,7 @@ from typing import Mapping
 
 from mpmath import mp
 
-from .errors import DomainError, NotAUnit
+from .errors import DomainError, NotAUnit, require_int
 from .rootkit import RootSystem
 from .specialfn import PrecisionContext
 
@@ -38,9 +38,12 @@ class GammaWord:
     coeffs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        require_int(self.modulus, "modulus")
         if self.modulus < 2:
             raise DomainError(f"modulus must be >= 2, got {self.modulus}")
         for j, c in self.coeffs:
+            require_int(j, "residue")
+            require_int(c, "exponent")
             if not 0 < j < self.modulus:
                 raise DomainError(f"residue {j} outside 1..{self.modulus - 1}")
             if c == 0:
@@ -50,8 +53,10 @@ class GammaWord:
 
     @classmethod
     def from_coeffs(cls, modulus: int, coeffs: Mapping[int, int]) -> "GammaWord":
-        items = tuple(sorted((int(j), int(c)) for j, c in coeffs.items() if c))
-        return cls(modulus, items)
+        for j, c in coeffs.items():  # zero exponents too, before they are dropped
+            require_int(j, "residue")
+            require_int(c, "exponent")
+        return cls(modulus, tuple(sorted((j, c) for j, c in coeffs.items() if c)))
 
     def coeff(self, j: int) -> int:
         return dict(self.coeffs).get(j % self.modulus, 0)
@@ -93,7 +98,7 @@ class GammaWord:
     @classmethod
     def from_json(cls, text: str) -> "GammaWord":
         data = json.loads(text)
-        return cls.from_coeffs(int(data["N"]), {int(j): int(c) for j, c in data["coeffs"].items()})
+        return cls.from_coeffs(data["N"], {int(j): c for j, c in data["coeffs"].items()})
 
 
 @dataclass(frozen=True)

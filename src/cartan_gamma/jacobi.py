@@ -1,10 +1,11 @@
 """Finite-field character sums and numeric cyclotomic recognition.
 
 Sites are degree-one primes p = 1 (mod N), so the residue field is the
-prime field and the trace is the identity.  The multiplicative character
-attached to a residue j/N sends the canonical generator g**((p-1)/N) of
-the N-torsion to exp(2 pi i / N); any other choice is a conjugate and is
-covered by the unit-group action on exponent words.
+prime field and the trace is the identity.  A site is just (N, p): the
+character attached to a residue j/N sends g**((p-1)/N), for g the least
+primitive root mod p, to exp(2 pi i / N); any other choice is a conjugate
+and is covered by the unit-group action on exponent words.  Character
+sums are returned as plain mpmath complex numbers.
 
 Values in the ring of integers of the N-th cyclotomic field are
 recognized by one PSLQ integer-relation search over the real numbers
@@ -24,7 +25,7 @@ from math import gcd
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, NotInC, SearchExhausted
+from .errors import DomainError, NotInC, SearchExhausted, require_int
 from .gammawords import GammaWord, classify
 from .specialfn import PrecisionContext
 
@@ -36,16 +37,7 @@ def _is_prime(n: int) -> bool:
     """Trial division; DomainError above MAX_PRIME, where it could stall."""
     if n > MAX_PRIME:
         raise DomainError(f"{n} exceeds the largest supported prime {MAX_PRIME}")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -74,54 +66,38 @@ def _least_primitive_root(p: int) -> int:
 
 @dataclass(frozen=True)
 class PrimeSite:
-    """Degree-one prime for modulus N: p = 1 (mod N), coprime to 2N,
-    together with the least primitive root mod p."""
+    """Degree-one prime for modulus N: a prime p = 1 (mod N), p <= MAX_PRIME."""
 
     modulus: int
     p: int
-    generator: int
 
     def __post_init__(self) -> None:
+        require_int(self.modulus, "modulus")
+        require_int(self.p, "prime")
         if self.modulus < 2:
             raise DomainError(f"modulus must be >= 2, got {self.modulus}")
-        if (self.p - 1) % self.modulus != 0:
-            raise DomainError(f"{self.p} is not 1 mod {self.modulus}")
-        if gcd(self.p, 2 * self.modulus) != 1:
-            raise DomainError(f"{self.p} divides twice the modulus")
         if not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
+        if (self.p - 1) % self.modulus != 0:
+            raise DomainError(f"{self.p} is not 1 mod {self.modulus}")
+
+    @property
+    def generator(self) -> int:
+        """The least primitive root mod p."""
+        return _least_primitive_root(self.p)
 
 
 def find_site(modulus: int, p_min: int = 2, cap: int = MAX_PRIME) -> PrimeSite:
     """Smallest admissible prime site with p >= p_min."""
+    for value, what in ((modulus, "modulus"), (p_min, "p_min"), (cap, "cap")):
+        require_int(value, what)
     if modulus < 2:
         raise DomainError(f"modulus must be >= 2, got {modulus}")
-    start = max(p_min, 3)
-    candidate = start + ((1 - start) % modulus)  # first value = 1 mod modulus
-    if candidate < start:
-        candidate += modulus
-    while candidate <= cap:
-        if _is_prime(candidate) and gcd(candidate, 2 * modulus) == 1:
-            return PrimeSite(modulus, candidate, _least_primitive_root(candidate))
-        candidate += modulus
+    start = max(p_min, 2)
+    for p in range(start + (1 - start) % modulus, cap + 1, modulus):
+        if _is_prime(p):
+            return PrimeSite(modulus, p)
     raise SearchExhausted(f"no prime = 1 mod {modulus} in [{p_min}, {cap}]")
-
-
-def site_for_prime(modulus: int, p: int) -> PrimeSite:
-    """Site at an explicitly chosen prime, at most MAX_PRIME."""
-    if not _is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    return PrimeSite(modulus, p, _least_primitive_root(p))
-
-
-@dataclass(frozen=True)
-class CharacterSum:
-    """A complex character-sum value together with its defining data."""
-
-    value: object
-    site: PrimeSite
-    word: GammaWord | None = None
-    residue: Fraction | None = None
 
 
 def _residue_index(a, modulus: int) -> int:
@@ -130,14 +106,15 @@ def _residue_index(a, modulus: int) -> int:
             raise DomainError(f"residue {a} does not live mod {modulus}")
         j = int(a * modulus) % modulus
     else:
-        j = int(a) % modulus
+        require_int(a, "residue")
+        j = a % modulus
     if j == 0:
         raise DomainError("residue must be nonzero")
     return j
 
 
 def gauss_sum(a, site: PrimeSite, ctx: PrecisionContext,
-              additive_scale: int = 1) -> CharacterSum:
+              additive_scale: int = 1):
     """Negated full character sum for the residue a = j/N at the site.
 
     ``additive_scale`` replaces the standard additive character x -> e(x/p)
@@ -149,10 +126,10 @@ def gauss_sum(a, site: PrimeSite, ctx: PrecisionContext,
     (N - 1)(p - 1) multiply-adds.  Later calls read the memo.
     """
     j = _residue_index(a, site.modulus)
+    require_int(additive_scale, "additive character scale")
     if additive_scale % site.p == 0:
         raise DomainError("additive character scale must be nonzero mod p")
-    return CharacterSum(value=_gauss_values(site, ctx, additive_scale % site.p)[j],
-                        site=site, residue=Fraction(j, site.modulus))
+    return _gauss_values(site, ctx, additive_scale % site.p)[j]
 
 
 @lru_cache(maxsize=None)
@@ -175,16 +152,15 @@ def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
 
 
 def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
-               additive_scale: int = 1) -> CharacterSum:
+               additive_scale: int = 1):
     """Product over the word's support of gauss sums raised to the exponents."""
     if f.modulus != site.modulus:
         raise DomainError(f"word modulus {f.modulus} != site modulus {site.modulus}")
     with ctx.working():
         total = mp.mpc(1)
         for j, c in f.coeffs:
-            g = gauss_sum(j, site, ctx, additive_scale=additive_scale).value
-            total *= g ** c
-        return CharacterSum(value=total, site=site, word=f)
+            total *= gauss_sum(j, site, ctx, additive_scale=additive_scale) ** c
+        return total
 
 
 def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
@@ -195,8 +171,7 @@ def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
     if not verdict.in_C:
         raise NotInC(f"word {f} fails membership (witness {verdict.witness})")
     with ctx.working():
-        j = jacobi_sum(f, site, ctx, additive_scale=additive_scale).value
-        return mpf(site.p) ** (-verdict.k) * j
+        return mpf(site.p) ** (-verdict.k) * jacobi_sum(f, site, ctx, additive_scale)
 
 
 def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | None:
@@ -248,6 +223,8 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
         phi = _euler_phi(modulus)
         zetas = _zeta_powers(modulus, ctx.digits)[:phi]
         z = mp.mpc(z)
+        if not mp.isfinite(z):
+            raise DomainError(f"cannot recognize the non-finite value {z}")
         x = [w.real + mp.pi * w.imag for w in (z, *zetas)]
         if abs(z) < tol or not x[0]:
             # The zero element; pslq rejects a zero entry.

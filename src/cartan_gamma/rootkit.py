@@ -21,7 +21,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import InvalidRank, NotARoot
+from .errors import InvalidRank, NotARoot, require_int
 
 Root = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -47,6 +47,7 @@ class RootSystemLabel:
     def __post_init__(self) -> None:
         if self.family not in _RANK_RANGE:
             raise InvalidRank(f"unknown family {self.family!r}")
+        require_int(self.rank, "rank", InvalidRank)
         lo, hi = _RANK_RANGE[self.family]
         if self.rank < lo or (hi is not None and self.rank > hi):
             bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"

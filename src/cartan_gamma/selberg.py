@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, QuadratureNotConverged
-from .specialfn import PrecisionContext
+from .errors import DomainError, QuadratureNotConverged, require_int
+from .specialfn import PrecisionContext, _as_fraction
 
 Rational = Fraction | int
 
@@ -45,6 +45,9 @@ class SelbergParams:
     n: int
 
     def __post_init__(self) -> None:
+        for x in (self.alpha, self.beta, self.rho):
+            _as_fraction(x)  # a float's binary value is not the rational meant
+        require_int(self.n, "dimension")
         if self.n < 1:
             raise DomainError(f"dimension must be >= 1, got {self.n}")
 

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, require_int
 from .reports import VerificationReport
 
 GUARD_DIGITS = 15
@@ -34,6 +34,7 @@ class PrecisionContext:
     digits: int = 50
 
     def __post_init__(self) -> None:
+        require_int(self.digits, "precision")
         if not 20 <= self.digits <= MAX_DIGITS:
             raise DomainError(f"precision must be 20 to {MAX_DIGITS} digits, "
                               f"got {self.digits}")

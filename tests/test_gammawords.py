@@ -64,6 +64,28 @@ def test_word_construction_validation():
     assert GammaWord.from_coeffs(6, {1: 1, 2: 0}).support == (1,)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: GammaWord(12, ((1, 1.5),)),
+    lambda: GammaWord(12, ((1.0, 1),)),
+    lambda: GammaWord(12, ((1, True),)),
+    lambda: GammaWord(12.0, ((1, 1),)),
+    lambda: GammaWord.from_coeffs(12, {1: 1.5}),
+    lambda: GammaWord.from_coeffs(12, {1: 0.0}),
+    lambda: GammaWord.from_coeffs(12, {1.0: 1}),
+    lambda: GammaWord.from_coeffs(12, {True: 1}),
+    lambda: GammaWord.from_coeffs(12, {1: "2"}),
+    lambda: GammaWord.from_json('{"N": 12, "coeffs": {"1": 1.5}}'),
+    lambda: GammaWord.from_json('{"N": 12.5, "coeffs": {"1": 1}}'),
+], ids=["float-exponent", "float-residue", "bool-exponent", "float-modulus",
+        "from-coeffs-float-exponent", "from-coeffs-float-zero", "from-coeffs-float-residue",
+        "from-coeffs-bool-residue", "from-coeffs-str-exponent", "from-json-float-exponent",
+        "from-json-float-modulus"])
+def test_word_refuses_non_integer_data(build):
+    # from_coeffs and from_json used to truncate {1: 1.5} to the exponent 1.
+    with pytest.raises(DomainError, match="must be an integer"):
+        build()
+
+
 def test_word_algebra():
     f = GammaWord.from_coeffs(6, {1: 2, 5: -1})
     g = GammaWord.from_coeffs(6, {1: -2, 3: 4})

@@ -1,13 +1,16 @@
+import dataclasses
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cartan_gamma import jacobi
 from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
                           SearchExhausted, find_site, gauss_sum, hecke_value,
-                          jacobi_sum, psi_order, recognize_cyclotomic, site_for_prime,
-                          tilde, word_of_root_system)
+                          jacobi_sum, psi_order, recognize_cyclotomic, tilde,
+                          word_of_root_system)
 from conftest import rs
 
 
@@ -23,19 +26,57 @@ def test_find_site_examples():
 
 def test_site_validation():
     with pytest.raises(DomainError):
-        PrimeSite(12, 14, 3)  # not 1 mod 12 (and not prime)
+        PrimeSite(12, 14)  # not 1 mod 12 (and not prime)
     with pytest.raises(DomainError):
-        PrimeSite(12, 25, 2)  # 25 = 1 mod 12 but composite
-    site = PrimeSite(12, 13, 2)
+        PrimeSite(12, 25)  # 25 = 1 mod 12 but composite
+    site = PrimeSite(12, 13)
     assert site.p == 13
+    # The generator is derived from p, never passed in: the least primitive
+    # root, which is not 2 at p = 73 (2 has order 9 there).
+    assert PrimeSite(12, 13).generator == 2
+    assert PrimeSite(12, 73).generator == 5
+    assert [f.name for f in dataclasses.fields(PrimeSite)] == ["modulus", "p"]
+    with pytest.raises(TypeError):
+        PrimeSite(12, 13, 3)
 
 
-@pytest.mark.parametrize("modulus,p", [(0, 7), (1, 7), (12, 17), (12, 15), (12, 2)],
+@pytest.mark.parametrize("kwargs", [{"modulus": 12.0}, {"modulus": 12, "p_min": 13.5},
+                                    {"modulus": 12, "cap": 1e3}],
+                         ids=["float-modulus", "float-p-min", "float-cap"])
+def test_find_site_rejects_non_integers(kwargs):
+    with pytest.raises(DomainError, match="must be an integer"):
+        find_site(**kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 60), st.integers(-5, 3000), st.booleans())
+def test_prime_site_is_valid_or_refused(modulus, p, snap):
+    if snap and p > modulus:
+        p -= (p - 1) % modulus  # p = 1 (mod N): about a quarter of these are sites
+    try:
+        site = PrimeSite(modulus, p)
+    except DomainError:
+        assert p < 2 or (p - 1) % modulus or any(p % d == 0 for d in range(2, p))
+        return
+    assert all(p % d for d in range(2, p))
+    assert (site.p - 1) % site.modulus == 0
+    g = site.generator
+    assert next(k for k in range(1, p) if pow(g, k, p) == 1) == p - 1
+    if p < 200:
+        ctx = PrecisionContext(30)
+        with ctx.working():
+            assert abs(abs(gauss_sum(1, site, ctx)) ** 2 - p) < mpf(10) ** -25
+
+
+@pytest.mark.parametrize("modulus,p", [(0, 7), (1, 7), (12, 17), (12, 15), (12, 2),
+                                       (12.0, 13), (12, 13.0), (12, True), (True, 3),
+                                       ("12", 13)],
                          ids=["modulus-zero", "modulus-one", "not-1-mod-N", "composite",
-                              "prime-two"])
+                              "prime-two", "float-modulus", "float-prime", "bool-prime",
+                              "bool-modulus", "str-modulus"])
 def test_site_for_prime_rejects(modulus, p):
     with pytest.raises(DomainError):
-        site_for_prime(modulus, p)
+        PrimeSite(modulus, p)
 
 
 def test_site_for_prime_stops_at_max_prime():
@@ -43,33 +84,46 @@ def test_site_for_prime_stops_at_max_prime():
     # 9,999,973 and 10,000,141 are the primes = 1 mod 12 on either side of the
     # bound, and 10**24 + 177 is one too; the range is checked before any
     # primality test.
-    assert site_for_prime(12, 9_999_973).p == find_site(12, p_min=9_999_973).p
+    assert PrimeSite(12, 9_999_973) == find_site(12, p_min=9_999_973)
     with pytest.raises(SearchExhausted):
         find_site(12, p_min=9_999_974)
     for p in (10_000_141, 10**24 + 177):
         with pytest.raises(DomainError, match="largest supported prime"):
-            site_for_prime(12, p)
+            PrimeSite(12, p)
         with pytest.raises(DomainError, match="largest supported prime"):
-            PrimeSite(12, p, 2)
+            find_site(12, p_min=p, cap=p)
 
 
 def test_gauss_sum_magnitudes(ctx):
+    # 73 is a site whose least primitive root is 5, not 2.
     site = find_site(12)
     with ctx.working():
-        for j in range(1, 12):
-            g = gauss_sum(j, site, ctx).value
-            assert abs(abs(g) ** 2 - site.p) < mpf(10) ** -38
-            assert abs(g * mp.conj(g) - site.p) < mpf(10) ** -38
+        for at in (site, PrimeSite(12, 73)):
+            for j in range(1, 12):
+                g = gauss_sum(j, at, ctx)
+                assert abs(abs(g) ** 2 - at.p) < mpf(10) ** -38
+                assert abs(g * mp.conj(g) - at.p) < mpf(10) ** -38
     with pytest.raises(DomainError):
         gauss_sum(0, site, ctx)
     with pytest.raises(DomainError):
         gauss_sum(12, site, ctx)
 
 
+@pytest.mark.parametrize("residue,scale", [
+    (1.5, 1), ("3", 1), (True, 1), (None, 1), (1, 1.5), (1, True), (1, "2"), (Q(1, 12), 1.0),
+], ids=["float-residue", "str-residue", "bool-residue", "none-residue", "float-scale",
+        "bool-scale", "str-scale", "float-scale-with-fraction"])
+def test_gauss_sum_rejects_non_integer_residues_and_scales(residue, scale, ctx):
+    # int(1.5) would truncate to the residue 1/12, and a scale of 1.5 is no
+    # additive character.
+    with pytest.raises(DomainError, match="must be an integer"):
+        gauss_sum(residue, find_site(12), ctx, additive_scale=scale)
+
+
 def test_quadratic_gauss_sum(ctx):
     site = find_site(2, p_min=4)
     with ctx.working():
-        g = gauss_sum(Q(1, 2), site, ctx).value
+        g = gauss_sum(Q(1, 2), site, ctx)
         assert abs(g ** 2 - 5) < mpf(10) ** -38
         assert abs(g.imag) < mpf(10) ** -38
 
@@ -94,14 +148,14 @@ def test_one_sweep_gauss_sums_equal_one_residue_sums_bitwise(modulus, p, digits)
     # Every residue's sum shares one sweep over the field; each must keep the
     # terms, order and precision of its own sum, so no bit may change.
     jacobi._gauss_values.cache_clear()
-    site, ctx = site_for_prime(modulus, p), PrecisionContext(digits)
+    site, ctx = PrimeSite(modulus, p), PrecisionContext(digits)
     for scale in (1, 5):
         if scale % p == 0:
             with pytest.raises(DomainError):
                 gauss_sum(1, site, ctx, additive_scale=scale)
             continue
         for j in range(1, modulus):
-            assert gauss_sum(j, site, ctx, additive_scale=scale).value == \
+            assert gauss_sum(j, site, ctx, additive_scale=scale) == \
                 _one_residue_gauss_sum(j, site, ctx, scale)
 
 
@@ -109,7 +163,7 @@ def test_one_sweep_evaluates_each_additive_character_once(monkeypatch):
     # E6 words cover every nonzero residue mod 12; one residue at a time
     # would take (N - 1)(p - 1) = 396 root evaluations here.
     jacobi._gauss_values.cache_clear()
-    site, ctx = site_for_prime(12, 37), PrecisionContext(30)
+    site, ctx = PrimeSite(12, 37), PrecisionContext(30)
     calls = [0]
     expjpi = mp.expjpi
 
@@ -128,17 +182,19 @@ def test_jacobi_sum_values(ctx):
     site = find_site(12)
     empty = GammaWord.from_coeffs(12, {})
     with ctx.working():
-        assert jacobi_sum(empty, site, ctx).value == 1
+        assert jacobi_sum(empty, site, ctx) == 1
         f = word_of_root_system(rs("E6"), 1)
-        j = jacobi_sum(f, site, ctx).value
+        j = jacobi_sum(f, site, ctx)
         assert abs(abs(j) - mpf(1) / 13) < mpf(10) ** -38
         # multiplicativity over word addition
         g = GammaWord.from_coeffs(12, {2: 1, 9: -2})
-        lhs = jacobi_sum(f + g, site, ctx).value
-        rhs = jacobi_sum(f, site, ctx).value * jacobi_sum(g, site, ctx).value
+        lhs = jacobi_sum(f + g, site, ctx)
+        rhs = jacobi_sum(f, site, ctx) * jacobi_sum(g, site, ctx)
         assert abs(lhs - rhs) < mpf(10) ** -36 * abs(rhs)
     with pytest.raises(DomainError):
         jacobi_sum(GammaWord.from_coeffs(10, {1: 1}), site, ctx)
+    with pytest.raises(DomainError, match="must be an integer"):
+        jacobi_sum(f, site, ctx, additive_scale=1.5)
 
 
 def test_classical_two_character_sum_against_direct_double_sum(ctx):
@@ -158,7 +214,7 @@ def test_classical_two_character_sum_against_direct_double_sum(ctx):
             for key, step in ((a, 1), (b, 1), ((a + b) % n, -1)):
                 coeffs[key] = coeffs.get(key, 0) + step
             word = GammaWord.from_coeffs(n, coeffs)
-            packaged = jacobi_sum(word, site, ctx).value
+            packaged = jacobi_sum(word, site, ctx)
             assert abs(packaged + direct) < mpf(10) ** -38
 
 
@@ -174,7 +230,7 @@ def test_hecke_values(ctx):
             if t.coeffs:
                 psi_t = hecke_value(t, site, ctx)
                 assert abs(abs(psi_t) - 1) < mpf(10) ** -38
-                assert abs(psi_t - jacobi_sum(t, site, ctx).value) < mpf(10) ** -38
+                assert abs(psi_t - jacobi_sum(t, site, ctx)) < mpf(10) ** -38
     with pytest.raises(NotInC):
         hecke_value(GammaWord.from_coeffs(12, {1: 1}), site, ctx)
 
@@ -189,8 +245,8 @@ def test_additive_character_independence(ctx):
             assert abs(base - other) < mpf(10) ** -38
         # a non-member word does feel the additive character
         non_member = GammaWord.from_coeffs(12, {1: 1})
-        j1 = jacobi_sum(non_member, site, ctx).value
-        j2 = jacobi_sum(non_member, site, ctx, additive_scale=2).value
+        j1 = jacobi_sum(non_member, site, ctx)
+        j2 = jacobi_sum(non_member, site, ctx, additive_scale=2)
         assert abs(j1 - j2) > mpf("0.1")
 
 
@@ -206,7 +262,7 @@ def test_psi_is_root_of_unity(ctx):
 
 def test_psi_order_at_twenty_digits_matches_fifty():
     system = rs("E7")
-    site = site_for_prime(system.h, 19)
+    site = PrimeSite(system.h, 19)
     for i in range(1, system.rank + 1):
         f = word_of_root_system(system, i)
         assert psi_order(f, site, PrecisionContext(20)) == psi_order(f, site, PrecisionContext(50))
@@ -219,7 +275,7 @@ def test_recognize_cyclotomic(ctx):
 
         site = find_site(12)
         word = GammaWord.from_coeffs(12, {2: 1, 3: 1, 5: -1})
-        j = jacobi_sum(word, site, ctx).value
+        j = jacobi_sum(word, site, ctx)
         coeffs = recognize_cyclotomic(j, 12, max_coeff=40, tol=mpf(10) ** -20, ctx=ctx)
         assert coeffs is not None
         zetas = [mp.expjpi(mpf(2 * k) / 12) for k in range(4)]
@@ -236,6 +292,10 @@ def test_recognize_cyclotomic(ctx):
         for modulus in (0, -4):
             with pytest.raises(DomainError):
                 recognize_cyclotomic(mpf(1), modulus, ctx=ctx)
+        # non-finite targets are refused, not handed to PSLQ
+        for bad in (mp.nan, mp.inf, -mp.inf, mp.mpc(1, mp.nan), mp.mpc(mp.inf, 1)):
+            with pytest.raises(DomainError, match="non-finite"):
+                recognize_cyclotomic(bad, 12, ctx=ctx)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
@@ -295,7 +355,7 @@ def test_recognize_jacobi_sums_at_modulus_thirty(ctx):
     with ctx.working():
         zetas = [mp.expjpi(mpf(2 * k) / 30) for k in range(8)]
         for a, b in ((1, 4), (1, 5), (2, 9), (3, 7)):
-            j = jacobi_sum(GammaWord.from_coeffs(30, {a: 1, b: 1, a + b: -1}), site, ctx).value
+            j = jacobi_sum(GammaWord.from_coeffs(30, {a: 1, b: 1, a + b: -1}), site, ctx)
             coeffs = recognize_cyclotomic(j, 30, max_coeff=20, ctx=ctx)
             assert coeffs is not None
             assert abs(sum(c * z for c, z in zip(coeffs, zetas)) - j) < mpf(10) ** -20

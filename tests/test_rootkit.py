@@ -17,6 +17,13 @@ def test_label_validation(bad):
         RootSystemLabel.parse(bad)
 
 
+@pytest.mark.parametrize("rank", ["3", 1.0, 3.5, True, None], ids=["str", "float-one",
+                                                                  "float", "bool", "none"])
+def test_label_refuses_non_integer_rank(rank):
+    with pytest.raises(InvalidRank, match="must be an integer"):
+        RootSystemLabel("A", rank)
+
+
 def test_label_roundtrip():
     label = RootSystemLabel.parse("e8")
     assert (label.family, label.rank) == ("E", 8)

@@ -16,6 +16,14 @@ from cartan_gamma.selberg import _jacobi_weighted
 def test_params_validation():
     with pytest.raises(DomainError):
         SelbergParams(1, 1, 0, 0)
+    for n in (1.5, 2.0, True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SelbergParams(1, 1, 0, n)
+    # Fraction(0.1) is 0.1000000000000000055...: the closed form came out
+    # 1e-16 away from Beta(1/10, 1) = 10 instead of being refused.
+    for exponents in ((0.1, 1, 0), (1, "1", 0), (1, 1, True)):
+        with pytest.raises(DomainError, match="expected a rational"):
+            SelbergParams(*exponents, 1)
     with pytest.raises(DomainError):
         selberg_real_closed(SelbergParams(-1, 1, 0, 1), None)
     with pytest.raises(DomainError):

@@ -17,6 +17,9 @@ def test_context_validation():
         PrecisionContext(10)
     with pytest.raises(DomainError):
         PrecisionContext(MAX_DIGITS + 1)
+    for digits in (20.5, 50.0, "50", True):
+        with pytest.raises(DomainError, match="must be an integer"):
+            PrecisionContext(digits)
     assert PrecisionContext().digits == 50
     assert PrecisionContext(MAX_DIGITS).digits == MAX_DIGITS
 
