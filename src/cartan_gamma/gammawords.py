@@ -7,14 +7,16 @@ pairings against one simple root; their Gamma products are exactly the
 positive numbers whose vector forms the Perron-Frobenius eigenvector of
 the Cartan matrix.
 
-The membership test implemented by :func:`classify` (weighted sum integral
-and invariant under the unit-group action) is the numeric criterion for
-``pi**(-k) * product`` being algebraic.
+A unit u mod N acts by permuting the residues, (u.f)(j) = f(u*j mod N),
+and :func:`tilde`, f(j) - f(N - j), is f minus its image under the unit -1.
+The membership test implemented by :func:`classify` (weighted sum an
+integer k, and unchanged by every unit) is the Koblitz-Ogus criterion for
+``pi**(-k) * product`` being algebraic (appendix to Deligne, "Valeurs de
+fonctions L et periodes d'integrales", 1979).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -61,13 +63,6 @@ class GammaWord:
     def coeff(self, j: int) -> int:
         return dict(self.coeffs).get(j % self.modulus, 0)
 
-    def as_dict(self) -> dict[int, int]:
-        return dict(self.coeffs)
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j, _ in self.coeffs)
-
     def __add__(self, other: "GammaWord") -> "GammaWord":
         if self.modulus != other.modulus:
             raise DomainError("cannot add words with different moduli")
@@ -89,16 +84,8 @@ class GammaWord:
         text = "".join(parts)
         return text[1:] if text.startswith("+") else text
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     def to_json_dict(self) -> dict:
         return {"N": self.modulus, "coeffs": {str(j): c for j, c in self.coeffs}}
-
-    @classmethod
-    def from_json(cls, text: str) -> "GammaWord":
-        data = json.loads(text)
-        return cls.from_coeffs(data["N"], {int(j): c for j, c in data["coeffs"].items()})
 
 
 @dataclass(frozen=True)
@@ -126,11 +113,8 @@ def word_of_root_system(rs: RootSystem, i: int) -> GammaWord:
 
 
 def tilde(f: GammaWord) -> GammaWord:
-    """Antisymmetrized word g(j) = f(j) - f(N-j)."""
-    n = f.modulus
-    d = f.as_dict()
-    return GammaWord.from_coeffs(n, {j: d.get(j, 0) - d.get(n - j, 0)
-                                     for j in range(1, n)})
+    """Antisymmetrized word g(j) = f(j) - f(N-j): f minus its image under -1."""
+    return f + -u_act(f.modulus - 1, f)
 
 
 def n_of(f: GammaWord) -> Fraction:
@@ -139,15 +123,20 @@ def n_of(f: GammaWord) -> Fraction:
 
 
 def units(modulus: int) -> tuple[int, ...]:
+    require_int(modulus, "modulus")
     return tuple(u for u in range(1, modulus) if gcd(u, modulus) == 1)
 
 
 def u_act(u: int, f: GammaWord) -> GammaWord:
-    """Pullback along multiplication by the unit u: (u.f)(j) = f(u*j mod N)."""
+    """Pullback along multiplication by the unit u: (u.f)(j) = f(u*j mod N).
+
+    u permutes the nonzero residues, so the exponent at i moves to u^-1 * i."""
+    require_int(u, "unit")
     n = f.modulus
     if gcd(u, n) != 1:
         raise NotAUnit(f"{u} is not a unit mod {n}")
-    return GammaWord.from_coeffs(n, {j: f.coeff((u * j) % n) for j in range(1, n)})
+    inverse = pow(u, -1, n)
+    return GammaWord.from_coeffs(n, {inverse * j % n: c for j, c in f.coeffs})
 
 
 def classify(f: GammaWord) -> MembershipVerdict:

@@ -19,7 +19,6 @@ the stated tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -100,22 +99,10 @@ def find_site(modulus: int, p_min: int = 2, cap: int = MAX_PRIME) -> PrimeSite:
     raise SearchExhausted(f"no prime = 1 mod {modulus} in [{p_min}, {cap}]")
 
 
-def _residue_index(a, modulus: int) -> int:
-    if isinstance(a, Fraction):
-        if modulus % a.denominator != 0:
-            raise DomainError(f"residue {a} does not live mod {modulus}")
-        j = int(a * modulus) % modulus
-    else:
-        require_int(a, "residue")
-        j = a % modulus
-    if j == 0:
-        raise DomainError("residue must be nonzero")
-    return j
-
-
-def gauss_sum(a, site: PrimeSite, ctx: PrecisionContext,
+def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
               additive_scale: int = 1):
-    """Negated full character sum for the residue a = j/N at the site.
+    """Negated full character sum for the residue j/N at the site; j is an
+    int, taken mod N.
 
     ``additive_scale`` replaces the standard additive character x -> e(x/p)
     by x -> e(c x / p); used to check that normalized word sums do not
@@ -125,7 +112,10 @@ def gauss_sum(a, site: PrimeSite, ctx: PrecisionContext,
     one sweep over the field: p - 1 root evaluations e(c x / p) and
     (N - 1)(p - 1) multiply-adds.  Later calls read the memo.
     """
-    j = _residue_index(a, site.modulus)
+    require_int(j, "residue")
+    j %= site.modulus
+    if j == 0:
+        raise DomainError("residue must be nonzero")
     require_int(additive_scale, "additive character scale")
     if additive_scale % site.p == 0:
         raise DomainError("additive character scale must be nonzero mod p")
@@ -215,6 +205,8 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     within ``max_coeff`` and the re-evaluated combination lies within ``tol``
     of z.
     """
+    require_int(modulus, "modulus")
+    require_int(max_coeff, "max_coeff")
     if modulus < 1:
         raise DomainError(f"modulus must be >= 1, got {modulus}")
     ctx = ctx or PrecisionContext()

@@ -150,6 +150,7 @@ class RootSystem:
         return tuple(row[i - 1] for row in self.coroot_table)
 
     def _check_index(self, i: int) -> None:
+        require_int(i, "simple-root index", NotARoot)
         if not 1 <= i <= self.rank:
             raise NotARoot(f"simple-root index {i} out of range 1..{self.rank}")
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, NoConvergence
+from .errors import DomainError, NoConvergence, require_int
 from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
@@ -89,17 +89,25 @@ def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
     positive eigenvector unique up to scale and no other eigenvalue of equal
     modulus; so the iteration converges to that vector, at the rate
     lambda_min/lambda_2, and the check certifies its uniqueness.
-    Non-integer, singular, reducible and indefinite matrices raise DomainError.
-    After the successive-iterate test passes, iteration continues until the
+    Non-integer, singular, reducible and indefinite matrices raise DomainError,
+    as do a tol that is not a finite positive number and a non-int
+    max_iterations.  After the successive-iterate test passes, iteration continues until the
     geometric error estimate drops below tol, so the returned vector is
     accurate to tol, not merely Cauchy at tol.
     """
+    require_int(max_iterations, "max_iterations")
     inverse = _positive_inverse(cartan)
     with ctx.working():
         if tol is None:
             tol = mpf(10) ** (5 - ctx.digits)
         else:
-            tol = mpf(tol)
+            try:
+                value = mpf(tol)
+            except (TypeError, ValueError):
+                value = mp.nan
+            if not (mp.isfinite(value) and value > 0):
+                raise DomainError(f"tol must be finite and positive, got {tol!r}")
+            tol = value
         inverse = [[mpf(q.numerator) / q.denominator for q in row] for row in inverse]
         v = [mpf(1)] * len(cartan)
         diff = mpf(1)

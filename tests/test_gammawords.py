@@ -61,7 +61,7 @@ def test_word_construction_validation():
         GammaWord(6, ((1, 0),))
     with pytest.raises(DomainError):
         GammaWord(6, ((2, 1), (1, 1)))
-    assert GammaWord.from_coeffs(6, {1: 1, 2: 0}).support == (1,)
+    assert GammaWord.from_coeffs(6, {1: 1, 2: 0}).coeffs == ((1, 1),)
 
 
 @pytest.mark.parametrize("build", [
@@ -74,14 +74,16 @@ def test_word_construction_validation():
     lambda: GammaWord.from_coeffs(12, {1.0: 1}),
     lambda: GammaWord.from_coeffs(12, {True: 1}),
     lambda: GammaWord.from_coeffs(12, {1: "2"}),
-    lambda: GammaWord.from_json('{"N": 12, "coeffs": {"1": 1.5}}'),
-    lambda: GammaWord.from_json('{"N": 12.5, "coeffs": {"1": 1}}'),
+    lambda: units(12.0),
+    lambda: u_act(1.5, w("E6", 1)),
+    lambda: u_act(True, w("E6", 1)),
 ], ids=["float-exponent", "float-residue", "bool-exponent", "float-modulus",
         "from-coeffs-float-exponent", "from-coeffs-float-zero", "from-coeffs-float-residue",
-        "from-coeffs-bool-residue", "from-coeffs-str-exponent", "from-json-float-exponent",
-        "from-json-float-modulus"])
+        "from-coeffs-bool-residue", "from-coeffs-str-exponent", "units-float-modulus",
+        "u-act-float-unit", "u-act-bool-unit"])
 def test_word_refuses_non_integer_data(build):
-    # from_coeffs and from_json used to truncate {1: 1.5} to the exponent 1.
+    # int() would truncate {1: 1.5} to the exponent 1, and True would act as
+    # the unit 1.
     with pytest.raises(DomainError, match="must be an integer"):
         build()
 
@@ -89,18 +91,18 @@ def test_word_refuses_non_integer_data(build):
 def test_word_algebra():
     f = GammaWord.from_coeffs(6, {1: 2, 5: -1})
     g = GammaWord.from_coeffs(6, {1: -2, 3: 4})
-    assert (f + g).as_dict() == {3: 4, 5: -1}
-    assert (-f).as_dict() == {1: -2, 5: 1}
+    assert (f + g).coeffs == ((3, 4), (5, -1))
+    assert (-f).coeffs == ((1, -2), (5, 1))
     with pytest.raises(DomainError):
         f + GammaWord.from_coeffs(5, {1: 1})
 
 
 def test_json_roundtrip():
     f = w("E6", 4)
-    data = json.loads(f.to_json())
+    data = json.loads(json.dumps(f.to_json_dict()))
     assert data["N"] == 12
     assert data["coeffs"]["3"] == -2
-    assert GammaWord.from_json(f.to_json()) == f
+    assert GammaWord.from_coeffs(data["N"], {int(j): c for j, c in data["coeffs"].items()}) == f
 
 
 def test_tilde():
@@ -130,16 +132,26 @@ def test_u_act():
         u_act(4, f)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.dictionaries(st.integers(min_value=1, max_value=29),
-                       st.integers(min_value=-4, max_value=4), max_size=8))
-def test_action_and_tilde_properties(coeffs):
-    f = GammaWord.from_coeffs(30, coeffs)
-    t = tilde(f)
-    for j in range(1, 30):
-        assert t.coeff(j) == -t.coeff(30 - j)
-    for u, v in ((7, 11), (13, 17)):
-        assert u_act(u, u_act(v, f)) == u_act((u * v) % 30, f)
+@st.composite
+def words(draw):
+    n = draw(st.integers(min_value=2, max_value=40))
+    coeffs = draw(st.dictionaries(st.integers(min_value=1, max_value=n - 1),
+                                  st.integers(min_value=-4, max_value=4), max_size=8))
+    return GammaWord.from_coeffs(n, coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words(), st.data())
+def test_action_and_tilde_properties(f, data):
+    n = f.modulus
+    unit_group = units(n)
+    u = data.draw(st.sampled_from(unit_group))
+    v = data.draw(st.sampled_from(unit_group))
+    g, t = u_act(u, f), tilde(f)
+    for j in range(1, n):
+        assert g.coeff(j) == f.coeff(u * j % n)
+        assert t.coeff(j) == f.coeff(j) - f.coeff(n - j)
+    assert u_act(u, u_act(v, f)) == u_act(u * v % n, f)
 
 
 def test_classify():

@@ -110,12 +110,12 @@ def test_gauss_sum_magnitudes(ctx):
 
 
 @pytest.mark.parametrize("residue,scale", [
-    (1.5, 1), ("3", 1), (True, 1), (None, 1), (1, 1.5), (1, True), (1, "2"), (Q(1, 12), 1.0),
+    (1.5, 1), ("3", 1), (True, 1), (None, 1), (1, 1.5), (1, True), (1, "2"), (Q(1, 12), 1),
 ], ids=["float-residue", "str-residue", "bool-residue", "none-residue", "float-scale",
-        "bool-scale", "str-scale", "float-scale-with-fraction"])
+        "bool-scale", "str-scale", "fraction-residue"])
 def test_gauss_sum_rejects_non_integer_residues_and_scales(residue, scale, ctx):
     # int(1.5) would truncate to the residue 1/12, and a scale of 1.5 is no
-    # additive character.
+    # additive character.  The residue is the int j, not the fraction j/N.
     with pytest.raises(DomainError, match="must be an integer"):
         gauss_sum(residue, find_site(12), ctx, additive_scale=scale)
 
@@ -123,7 +123,7 @@ def test_gauss_sum_rejects_non_integer_residues_and_scales(residue, scale, ctx):
 def test_quadratic_gauss_sum(ctx):
     site = find_site(2, p_min=4)
     with ctx.working():
-        g = gauss_sum(Q(1, 2), site, ctx)
+        g = gauss_sum(1, site, ctx)
         assert abs(g ** 2 - 5) < mpf(10) ** -38
         assert abs(g.imag) < mpf(10) ** -38
 
@@ -296,6 +296,13 @@ def test_recognize_cyclotomic(ctx):
         for bad in (mp.nan, mp.inf, -mp.inf, mp.mpc(1, mp.nan), mp.mpc(mp.inf, 1)):
             with pytest.raises(DomainError, match="non-finite"):
                 recognize_cyclotomic(bad, 12, ctx=ctx)
+
+
+@pytest.mark.parametrize("modulus,max_coeff", [(12.0, 1000), (12, 1.5)],
+                         ids=["float-modulus", "float-max-coeff"])
+def test_recognize_cyclotomic_refuses_non_integers(modulus, max_coeff, ctx):
+    with pytest.raises(DomainError, match="must be an integer"):
+        recognize_cyclotomic(1, modulus, max_coeff=max_coeff, ctx=ctx)
 
 
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:

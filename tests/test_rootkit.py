@@ -6,7 +6,8 @@ import pytest
 from cartan_gamma import (InvalidRank, NotARoot, RootSystemLabel,
                           affine_cartan_matrix, affine_cartan_matrix_dual,
                           build_root_system, coroot_pairing, height,
-                          simple_coroot_pairing)
+                          pairing_height_sum, simple_coroot_pairing,
+                          word_of_root_system)
 from conftest import rational_nullspace, rs
 
 
@@ -154,6 +155,21 @@ def test_height():
         height(rs("A2"), (1, -1))
     with pytest.raises(NotARoot):
         coroot_pairing(rs("A2"), (2, 2), 1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda a2: a2.simple_root(1.5),
+    lambda a2: a2.simple_root(True),
+    lambda a2: word_of_root_system(a2, True),
+    lambda a2: word_of_root_system(a2, 1.5),
+    lambda a2: coroot_pairing(a2, (1, 0), 1.0),
+    lambda a2: pairing_height_sum(a2, 2.5),
+], ids=["simple-root-float", "simple-root-bool", "word-bool", "word-float",
+        "coroot-pairing-float", "pairing-height-sum-float"])
+def test_simple_root_index_must_be_an_integer(call):
+    # 1.5 indexes no simple root, and True must not stand for the index 1.
+    with pytest.raises(NotARoot, match="must be an integer"):
+        call(rs("A2"))
 
 
 def test_affine_matrix_small_cases():

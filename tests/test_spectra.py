@@ -103,6 +103,17 @@ def test_power_iteration_rejects_non_finite_types(ctx, cartan):
         pf_power_iteration(cartan, ctx)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": -1}, {"tol": 0}, {"tol": "abc"}, {"tol": float("nan")}, {"tol": mp.inf},
+    {"max_iterations": 1.5}, {"max_iterations": "3"},
+], ids=["negative-tol", "zero-tol", "str-tol", "nan-tol", "inf-tol", "float-iterations",
+        "str-iterations"])
+def test_power_iteration_rejects_bad_tol_and_budget(ctx, kwargs):
+    # A tol <= 0 can never be met: the loop would spend its whole budget.
+    with pytest.raises(DomainError):
+        pf_power_iteration(rs("A2").cartan, ctx, **kwargs)
+
+
 def test_power_iteration_no_convergence(ctx):
     with pytest.raises(NoConvergence):
         pf_power_iteration(rs("E8").cartan, ctx, max_iterations=3)
