@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by every subsystem."""
+"""Exception hierarchy shared by every subsystem, and the argument checks
+that raise it."""
+
+from mpmath import mp, mpf
 
 
 class CartanGammaError(Exception):
@@ -41,7 +44,23 @@ class QuadratureNotConverged(CartanGammaError):
     """Successive quadrature refinements disagree beyond tolerance."""
 
 
-def require_int(value, what: str, error: type = DomainError) -> None:
-    """Raise ``error`` unless value is an int; a bool is not one."""
+def require_int(value, what: str, error: type = DomainError,
+                minimum: int | None = None) -> None:
+    """Raise ``error`` unless value is an int (a bool is not one) of at
+    least ``minimum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise error(f"{what} must be >= {minimum}, got {value}")
+
+
+def require_tolerance(value):
+    """A tol as an mpf at the current precision; DomainError unless it is a
+    finite positive number."""
+    try:
+        tol = mpf(value)
+    except (TypeError, ValueError):
+        tol = mp.nan
+    if not (mp.isfinite(tol) and tol > 0):
+        raise DomainError(f"tol must be finite and positive, got {value!r}")
+    return tol

@@ -40,9 +40,7 @@ class GammaWord:
     coeffs: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        require_int(self.modulus, "modulus")
-        if self.modulus < 2:
-            raise DomainError(f"modulus must be >= 2, got {self.modulus}")
+        require_int(self.modulus, "modulus", minimum=2)
         for j, c in self.coeffs:
             require_int(j, "residue")
             require_int(c, "exponent")
@@ -123,7 +121,7 @@ def n_of(f: GammaWord) -> Fraction:
 
 
 def units(modulus: int) -> tuple[int, ...]:
-    require_int(modulus, "modulus")
+    require_int(modulus, "modulus", minimum=2)
     return tuple(u for u in range(1, modulus) if gcd(u, modulus) == 1)
 
 

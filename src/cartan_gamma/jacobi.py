@@ -24,7 +24,7 @@ from math import gcd
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, NotInC, SearchExhausted, require_int
+from .errors import DomainError, NotInC, SearchExhausted, require_int, require_tolerance
 from .gammawords import GammaWord, classify
 from .specialfn import PrecisionContext
 
@@ -71,10 +71,8 @@ class PrimeSite:
     p: int
 
     def __post_init__(self) -> None:
-        require_int(self.modulus, "modulus")
+        require_int(self.modulus, "modulus", minimum=2)
         require_int(self.p, "prime")
-        if self.modulus < 2:
-            raise DomainError(f"modulus must be >= 2, got {self.modulus}")
         if not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
         if (self.p - 1) % self.modulus != 0:
@@ -88,10 +86,9 @@ class PrimeSite:
 
 def find_site(modulus: int, p_min: int = 2, cap: int = MAX_PRIME) -> PrimeSite:
     """Smallest admissible prime site with p >= p_min."""
-    for value, what in ((modulus, "modulus"), (p_min, "p_min"), (cap, "cap")):
-        require_int(value, what)
-    if modulus < 2:
-        raise DomainError(f"modulus must be >= 2, got {modulus}")
+    require_int(modulus, "modulus", minimum=2)
+    require_int(p_min, "p_min")
+    require_int(cap, "cap")
     start = max(p_min, 2)
     for p in range(start + (1 - start) % modulus, cap + 1, modulus):
         if _is_prime(p):
@@ -205,13 +202,11 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     within ``max_coeff`` and the re-evaluated combination lies within ``tol``
     of z.
     """
-    require_int(modulus, "modulus")
-    require_int(max_coeff, "max_coeff")
-    if modulus < 1:
-        raise DomainError(f"modulus must be >= 1, got {modulus}")
+    require_int(modulus, "modulus", minimum=1)
+    require_int(max_coeff, "max_coeff", minimum=0)
     ctx = ctx or PrecisionContext()
     with ctx.working():
-        tol = mpf(10) ** (-20) if tol is None else mpf(tol)
+        tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
         phi = _euler_phi(modulus)
         zetas = _zeta_powers(modulus, ctx.digits)[:phi]
         z = mp.mpc(z)

@@ -3,11 +3,15 @@
 Roots are integer coefficient vectors over the simple-root basis.  A type
 is fixed by its integer Cartan matrix ``A`` and the squared lengths ``e_j``
 in {1, 2, 3} of the simple roots (short roots have 1); ``B_ij = A_ij e_j``
-is the symmetric integer form.  The positive roots follow from the
-root-string rule ``p - q = <alpha, a_i^vee> = sum_j alpha_j A[j][i]``, and
-the coroot pairings ``2 (B alpha)_i / (alpha^T B alpha)`` are tabulated
-once per type, each checked for exact divisibility.  Only the rational
-view ``gram``/``inner``/``norm`` (long roots of norm 2) uses fractions.
+is the symmetric integer form.  The positive roots come from the simple
+ones by simple reflections: a positive root alpha with
+``c = <alpha, a_i^vee> = sum_j alpha_j A[j][i] < 0`` is raised to
+``s_i alpha = alpha - c a_i``, and every positive root of height > 1 arises
+so (Humphreys, Lie algebras, 10.2-10.3).  Each root carries its coroot
+pairings ``row[k] = <alpha^vee, a_k>``: a_i starts with the column
+``A[k][i]``, and ``(s_i alpha)^vee = s_i(alpha^vee)`` gives s_i alpha the
+row ``row[k] - A[k][i] row[i]``, all in integers.  Only the rational view
+``gram``/``inner``/``norm`` (long roots of norm 2) uses fractions.
 
 Numbering of simple roots follows the standard plates (for the exceptional
 types: node 2 is the branch vertex attached to node 4 in the E series;
@@ -92,23 +96,22 @@ class RootSystem:
     ``cartan[i][j]`` is the pairing of simple root i against simple coroot
     j, i.e. 2(a_i|a_j)/(a_j|a_j); ``lengths[j]`` is (a_j|a_j) over the
     short-root norm.  ``positive_roots`` is sorted by (height, coefficients)
-    and ``root_index`` maps each to its row of ``coroot_table``, the
-    pairings <alpha^vee, a_i> for i = 1..rank.  ``marks`` and ``comarks``
-    have length rank+1 and start with the affine entry 1.  A system is a
-    pure function of its label and hashes and compares by it.
+    and ``coroots`` maps each to its pairings <alpha^vee, a_i> for
+    i = 1..rank.  ``marks`` and ``comarks`` have length rank+1 and start
+    with the affine entry 1.  A system is a pure function of its label and
+    hashes and compares by it.
     """
 
     label: RootSystemLabel
     cartan: IntMatrix
     lengths: tuple[int, ...]
     positive_roots: tuple[Root, ...]
-    coroot_table: IntMatrix
+    coroots: Mapping[Root, tuple[int, ...]] = field(repr=False)
     h: int
     h_dual: int
     marks: tuple[int, ...]
     comarks: tuple[int, ...]
     highest_root: Root
-    root_index: Mapping[Root, int] = field(repr=False)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and other.label == self.label
@@ -140,14 +143,10 @@ class RootSystem:
     def norm(self, alpha: Sequence[int]) -> Q:
         return self.inner(alpha, alpha)
 
-    def is_root(self, v: Sequence[int]) -> bool:
-        t = tuple(v)
-        return t in self.root_index or tuple(-c for c in t) in self.root_index
-
     def coroot_column(self, i: int) -> tuple[int, ...]:
         """<alpha^vee, a_i> for every positive root alpha, in root order."""
         self._check_index(i)
-        return tuple(row[i - 1] for row in self.coroot_table)
+        return tuple(row[i - 1] for row in self.coroots.values())
 
     def _check_index(self, i: int) -> None:
         require_int(i, "simple-root index", NotARoot)
@@ -160,41 +159,22 @@ def _simple_pairings(cartan: IntMatrix, alpha: Sequence[int]) -> list[int]:
     return [sum(a * row[i] for a, row in zip(alpha, cartan)) for i in range(len(cartan))]
 
 
-def _closure(cartan: IntMatrix) -> list[Root]:
-    """Generate all positive roots from the simple ones.
-
-    A candidate alpha + a_i is accepted exactly when the a_i-string through
-    alpha ascends: q = p - <alpha, a_i^vee> > 0, where p counts how far
-    the string descends inside the already-known roots.
-    """
+def _closure(cartan: IntMatrix) -> dict[Root, tuple[int, ...]]:
+    """Every positive root with its coroot pairings <alpha^vee, a_k>,
+    sorted by (height, coefficients); see the module docstring."""
     n = len(cartan)
-    simples = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-    roots: set[Root] = set(simples)
-    frontier: list[Root] = list(simples)
-    while frontier:
-        grown: list[Root] = []
-        for alpha in frontier:
-            pairings = _simple_pairings(cartan, alpha)
-            for i, s in enumerate(simples):
-                p = 0
-                down = tuple(a - b for a, b in zip(alpha, s))
-                while down in roots:
-                    p += 1
-                    down = tuple(a - b for a, b in zip(down, s))
-                up = tuple(a + b for a, b in zip(alpha, s))
-                if p > pairings[i] and up not in roots:
-                    roots.add(up)
-                    grown.append(up)
-        frontier = grown
-    return sorted(roots, key=lambda v: (sum(v), v))
-
-
-def _coroot_row(cartan: IntMatrix, lengths: Sequence[int], alpha: Root) -> tuple[int, ...]:
-    """<alpha^vee, a_i> = 2 (B alpha)_i / (alpha^T B alpha), where
-    (B alpha)_i = e_i <alpha, a_i^vee>."""
-    b_alpha = [e * s for e, s in zip(lengths, _simple_pairings(cartan, alpha))]
-    norm = sum(a * b for a, b in zip(alpha, b_alpha))
-    return tuple(_exact(2 * b, norm, "coroot pairing") for b in b_alpha)
+    rows = {tuple(int(j == i) for j in range(n)): tuple(a[i] for a in cartan)
+            for i in range(n)}
+    stack = list(rows)
+    while stack:
+        alpha = stack.pop()
+        row = rows[alpha]
+        for i, c in enumerate(_simple_pairings(cartan, alpha)):
+            beta = alpha[:i] + (alpha[i] - c,) + alpha[i + 1:]
+            if c < 0 and beta not in rows:
+                rows[beta] = tuple(r - a[i] * row[i] for r, a in zip(row, cartan))
+                stack.append(beta)
+    return {alpha: rows[alpha] for alpha in sorted(rows, key=lambda v: (sum(v), v))}
 
 
 @lru_cache(maxsize=None)
@@ -212,34 +192,28 @@ def build_root_system(label: RootSystemLabel) -> RootSystem:
         form[a - 1][b - 1] = form[b - 1][a - 1] = -max(lengths[a - 1], lengths[b - 1])
     cartan = tuple(tuple(_exact(form[i][j], lengths[j], "Cartan entry") for j in range(n))
                    for i in range(n))
-    positives = _closure(cartan)
+    coroots = _closure(cartan)
+    positives = tuple(coroots)
 
     theta = positives[-1]
     h = sum(theta) + 1
     if len(positives) * 2 != n * h:
         raise AssertionError(f"{label}: root count {len(positives)} != rank*h/2")
 
-    marks = (1,) + theta
-    if sum(marks) != h:
-        raise AssertionError(f"{label}: marks do not sum to the Coxeter number")
-
     long = max(lengths)
     comarks = (1,) + tuple(_exact(m * e, long, "comark") for m, e in zip(theta, lengths))
-    if min(comarks) <= 0:
-        raise AssertionError(f"{label}: comarks are not positive")
 
     return RootSystem(
         label=label,
         cartan=cartan,
         lengths=tuple(lengths),
-        positive_roots=tuple(positives),
-        coroot_table=tuple(_coroot_row(cartan, lengths, alpha) for alpha in positives),
+        positive_roots=positives,
+        coroots=coroots,
         h=h,
         h_dual=sum(comarks),
-        marks=marks,
+        marks=(1,) + theta,
         comarks=comarks,
         highest_root=theta,
-        root_index={alpha: k for k, alpha in enumerate(positives)},
     )
 
 
@@ -247,19 +221,19 @@ def height(rs: RootSystem, alpha: Sequence[int]) -> int:
     """Coefficient sum of a positive root; equals its pairing with the
     half-sum of positive coroots under the long-norm-2 normalization."""
     t = tuple(alpha)
-    if t not in rs.root_index:
+    if t not in rs.coroots:
         raise NotARoot(f"{t} is not a positive root of {rs.label}")
     return sum(t)
 
 
 def _signed_row(rs: RootSystem, alpha: Sequence[int]) -> tuple[int, ...]:
-    """Coroot-table row of a root of either sign."""
+    """Coroot pairings <alpha^vee, a_i> of a root of either sign."""
     t = tuple(alpha)
-    sign = 1 if t in rs.root_index else -1
-    k = rs.root_index.get(tuple(sign * c for c in t))
-    if k is None:
+    sign = 1 if t in rs.coroots else -1
+    row = rs.coroots.get(tuple(sign * c for c in t))
+    if row is None:
         raise NotARoot(f"{t} is not a root of {rs.label}")
-    return tuple(sign * c for c in rs.coroot_table[k])
+    return tuple(sign * c for c in row)
 
 
 def coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
@@ -272,8 +246,7 @@ def coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
 def simple_coroot_pairing(rs: RootSystem, alpha: Sequence[int], i: int) -> int:
     """(alpha | a_i-coroot) = 2(alpha|a_i)/(a_i|a_i), an exact integer."""
     t = tuple(alpha)
-    if not rs.is_root(t):
-        raise NotARoot(f"{t} is not a root of {rs.label}")
+    _signed_row(rs, t)
     rs._check_index(i)
     return sum(a * row[i - 1] for a, row in zip(t, rs.cartan))
 

@@ -47,9 +47,7 @@ class SelbergParams:
     def __post_init__(self) -> None:
         for x in (self.alpha, self.beta, self.rho):
             _as_fraction(x)  # a float's binary value is not the rational meant
-        require_int(self.n, "dimension")
-        if self.n < 1:
-            raise DomainError(f"dimension must be >= 1, got {self.n}")
+        require_int(self.n, "dimension", minimum=1)
 
     def require_real_domain(self) -> None:
         if not (self.alpha > 0 and self.beta > 0 and self.rho >= 0):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, NoConvergence, require_int
+from .errors import DomainError, NoConvergence, require_int, require_tolerance
 from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
@@ -90,24 +90,15 @@ def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
     modulus; so the iteration converges to that vector, at the rate
     lambda_min/lambda_2, and the check certifies its uniqueness.
     Non-integer, singular, reducible and indefinite matrices raise DomainError,
-    as do a tol that is not a finite positive number and a non-int
-    max_iterations.  After the successive-iterate test passes, iteration continues until the
-    geometric error estimate drops below tol, so the returned vector is
-    accurate to tol, not merely Cauchy at tol.
+    as do a tol that is not a finite positive number and a max_iterations
+    that is not an int >= 1.  After the successive-iterate test passes,
+    iteration continues until the geometric error estimate drops below tol,
+    so the returned vector is accurate to tol, not merely Cauchy at tol.
     """
-    require_int(max_iterations, "max_iterations")
+    require_int(max_iterations, "max_iterations", minimum=1)
     inverse = _positive_inverse(cartan)
     with ctx.working():
-        if tol is None:
-            tol = mpf(10) ** (5 - ctx.digits)
-        else:
-            try:
-                value = mpf(tol)
-            except (TypeError, ValueError):
-                value = mp.nan
-            if not (mp.isfinite(value) and value > 0):
-                raise DomainError(f"tol must be finite and positive, got {tol!r}")
-            tol = value
+        tol = mpf(10) ** (5 - ctx.digits) if tol is None else require_tolerance(tol)
         inverse = [[mpf(q.numerator) / q.denominator for q in row] for row in inverse]
         v = [mpf(1)] * len(cartan)
         diff = mpf(1)
@@ -258,7 +249,7 @@ def verify_pf_eigenvector(rs: RootSystem, ctx: PrecisionContext, tol) -> Verific
     algebraic constant in pi * Gamma_i = c * profile_i.
     """
     with ctx.working():
-        tol = mpf(tol)
+        tol = require_tolerance(tol)
         g = gamma_vector(rs, ctx)
         lam = lambda_min(rs, ctx)
         labels = []
@@ -290,7 +281,7 @@ def affine_theorem(label: RootSystemLabel) -> str:
 def verify_affine_masses(rs: RootSystem, ctx: PrecisionContext, tol) -> VerificationReport:
     """Check the affine ratio vector against k(R)**(-1/h) times the comarks."""
     with ctx.working():
-        tol = mpf(tol)
+        tol = require_tolerance(tol)
         vec = affine_gamma_vector(rs, ctx)
         scale = pow_rat(mark_power_product(rs), Q(-1, rs.h), ctx)
         residuals = tuple(abs(v - scale * c) for v, c in zip(vec, rs.comarks))
@@ -306,6 +297,7 @@ def verify_membership(rs: RootSystem, tol) -> VerificationReport:
     Residuals are 0 on success and 1 on failure; this check involves no
     floating point at all.
     """
+    tol = require_tolerance(tol)
     labels = []
     residuals = []
     for i in range(1, rs.rank + 1):
@@ -317,16 +309,17 @@ def verify_membership(rs: RootSystem, tol) -> VerificationReport:
         labels.append(f"tilde_{i}")
         residuals.append(mpf(0) if (vt.in_C and vt.k == 0) else mpf(1))
     return VerificationReport(theorem="4.2", system=str(rs.label),
-                              residuals=tuple(residuals), tolerance=mpf(tol),
+                              residuals=tuple(residuals), tolerance=tol,
                               labels=tuple(labels))
 
 
 def verify_pairing_sums(rs: RootSystem, tol) -> VerificationReport:
     """Exact check that the height-weighted coroot-pairing sum equals the
     Coxeter number at every simple index."""
+    tol = require_tolerance(tol)
     labels = tuple(f"index_{i}" for i in range(1, rs.rank + 1))
     residuals = tuple(mpf(abs(pairing_height_sum(rs, i) - rs.h))
                       for i in range(1, rs.rank + 1))
     return VerificationReport(theorem="4.4", system=str(rs.label),
-                              residuals=residuals, tolerance=mpf(tol),
+                              residuals=residuals, tolerance=tol,
                               labels=labels)

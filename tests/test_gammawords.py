@@ -132,6 +132,13 @@ def test_u_act():
         u_act(4, f)
 
 
+@pytest.mark.parametrize("modulus", [1, 0, -5])
+def test_units_refuses_moduli_below_two(modulus):
+    # range(1, modulus) is empty there, which read as "no units".
+    with pytest.raises(DomainError, match="modulus must be >= 2"):
+        units(modulus)
+
+
 @st.composite
 def words(draw):
     n = draw(st.integers(min_value=2, max_value=40))

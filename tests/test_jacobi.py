@@ -305,6 +305,17 @@ def test_recognize_cyclotomic_refuses_non_integers(modulus, max_coeff, ctx):
         recognize_cyclotomic(1, modulus, max_coeff=max_coeff, ctx=ctx)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tol": "abc"}, {"tol": -1}, {"tol": 0}, {"tol": mp.nan}, {"max_coeff": -5},
+], ids=["str-tol", "negative-tol", "zero-tol", "nan-tol", "negative-max-coeff"])
+def test_recognize_cyclotomic_refuses_bad_tolerance_and_budget(kwargs, ctx):
+    # Each of these used to return None for the cyclotomic integer 2, or to
+    # end in mpmath's ValueError.
+    assert recognize_cyclotomic(mpf(2), 12, ctx=ctx) == (2, 0, 0, 0)
+    with pytest.raises(DomainError, match="must be"):
+        recognize_cyclotomic(mpf(2), 12, ctx=ctx, **kwargs)
+
+
 def _poly_divmod(num: list[int], den: list[int]) -> tuple[list[int], list[int]]:
     """Quotient and remainder of integer polynomials (constant term first)
     by a monic den; the remainder has len(den) - 1 coefficients."""

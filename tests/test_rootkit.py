@@ -141,6 +141,22 @@ def test_pairing_table_matches_fraction_reference(battery):
                 assert simple_coroot_pairing(system, negative, i) == -simple
 
 
+def test_roots_are_closed_under_simple_reflections(battery):
+    # s_k(alpha) = alpha - <alpha, a_k^vee> a_k permutes the roots, and
+    # <alpha^vee, alpha> = sum_k alpha_k <alpha^vee, a_k> = 2.
+    for label in battery:
+        system = build_root_system(label)
+        positives = set(system.positive_roots)
+        roots = positives | {tuple(-c for c in alpha) for alpha in positives}
+        for alpha in roots:
+            for k in range(system.rank):
+                c = simple_coroot_pairing(system, alpha, k + 1)
+                assert alpha[:k] + (alpha[k] - c,) + alpha[k + 1:] in roots
+        for alpha in positives:
+            assert sum(a * coroot_pairing(system, alpha, k)
+                       for k, a in enumerate(alpha, start=1)) == 2
+
+
 def test_root_system_compares_by_label():
     assert rs("E6") == build_root_system(RootSystemLabel("E", 6))
     assert hash(rs("E6")) == hash(RootSystemLabel("E", 6))
@@ -155,6 +171,8 @@ def test_height():
         height(rs("A2"), (1, -1))
     with pytest.raises(NotARoot):
         coroot_pairing(rs("A2"), (2, 2), 1)
+    with pytest.raises(NotARoot):
+        simple_coroot_pairing(rs("A2"), (2, 2), 1)
 
 
 @pytest.mark.parametrize("call", [

@@ -105,13 +105,29 @@ def test_power_iteration_rejects_non_finite_types(ctx, cartan):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": -1}, {"tol": 0}, {"tol": "abc"}, {"tol": float("nan")}, {"tol": mp.inf},
-    {"max_iterations": 1.5}, {"max_iterations": "3"},
+    {"max_iterations": 1.5}, {"max_iterations": "3"}, {"max_iterations": 0},
+    {"max_iterations": -1},
 ], ids=["negative-tol", "zero-tol", "str-tol", "nan-tol", "inf-tol", "float-iterations",
-        "str-iterations"])
+        "str-iterations", "zero-iterations", "negative-iterations"])
 def test_power_iteration_rejects_bad_tol_and_budget(ctx, kwargs):
     # A tol <= 0 can never be met: the loop would spend its whole budget.
+    # A budget below one step is refused, not reported as non-convergence.
     with pytest.raises(DomainError):
         pf_power_iteration(rs("A2").cartan, ctx, **kwargs)
+
+
+@pytest.mark.parametrize("verify", [
+    lambda system, ctx, tol: verify_pf_eigenvector(system, ctx, tol),
+    lambda system, ctx, tol: verify_affine_masses(system, ctx, tol),
+    lambda system, ctx, tol: verify_membership(system, tol),
+    lambda system, ctx, tol: verify_pairing_sums(system, tol),
+], ids=["eigen", "affine", "membership", "pairing"])
+@pytest.mark.parametrize("tol", ["abc", -1, 0, float("nan"), mp.inf, None],
+                         ids=["str", "negative", "zero", "nan", "inf", "none"])
+def test_verifiers_reject_bad_tolerance(ctx, verify, tol):
+    # A tolerance that is not a finite positive number makes "passed" meaningless.
+    with pytest.raises(DomainError, match="tol must be finite and positive"):
+        verify(rs("A2"), ctx, tol)
 
 
 def test_power_iteration_no_convergence(ctx):
