@@ -19,8 +19,8 @@ from .selberg import (SelbergParams, complex_parameter_grid, cross_validate,
                       real_parameter_grid, selberg_complex_closed,
                       selberg_complex_quadrature, selberg_real_closed,
                       selberg_real_quadrature)
-from .specialfn import (PrecisionContext, cos_pi, gamma, gamma_tilde, pi_value,
-                        pow_rat, s_factor, sin_pi, trig_identities_suite)
+from .specialfn import (PrecisionContext, gamma, gamma_tilde, pow_rat, s_factor,
+                        trig_identities_suite)
 from .spectra import (EigenResult, affine_gamma_vector, gamma_ratio_profile,
                       gamma_vector, lambda_min, mark_power_product,
                       mass_vector_closed_form, pf_power_iteration,

@@ -23,6 +23,8 @@ from functools import lru_cache
 from math import gcd
 
 from mpmath import mp, mpf
+from mpmath.libmp import (fnone, fone, fzero, from_int, mpc_mul, mpf_add, mpf_cos_sin_pi,
+                          mpf_div, mpf_neg)
 
 from .errors import DomainError, NotInC, SearchExhausted, require_int, require_tolerance
 from .gammawords import GammaWord, classify
@@ -106,8 +108,9 @@ def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
     depend on this choice.
 
     The first call at a site, context and scale computes all N - 1 sums in
-    one sweep over the field: p - 1 root evaluations e(c x / p) and
-    (N - 1)(p - 1) multiply-adds.  Later calls read the memo.
+    one sweep over the field: p - 1 root evaluations e(c x / p),
+    (N - 1)(p - 1) complex additions, and at each step m at most one rounded
+    product per distinct j m mod N.  Later calls read the memo.
     """
     require_int(j, "residue")
     j %= site.modulus
@@ -121,21 +124,44 @@ def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
 
 @lru_cache(maxsize=None)
 def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
-    # x = g**m visits each nonzero residue once, and each e(c x / p) is
-    # computed once and added to every residue's total in the order of m:
-    # each sum sees the terms, order and precision it would see alone.
-    # Index j holds the sum for j/N; index 0 is unused.
+    # x = g**m visits each nonzero residue once, and the root e(c x / p) is
+    # computed once, by the call mp.expjpi(mpf(2 (c x mod p)) / p) makes.
+    # Residue j adds zeta_N**(j m) e(c x / p) to its total in the order of m,
+    # as the one-residue loop does with mpc objects.  The product depends on
+    # j only through j m mod N, so it is rounded once per value, as mpc_mul
+    # rounds it; when zeta_N**(j m) is 1, i, -1 or -i, mpc_mul's exact
+    # products and one rounding of an exact value leave a swap of the root's
+    # parts and signs, taken directly.  Each total then takes the two
+    # mpf_adds of mpc_add.  Each sum thus sees the terms, order and roundings
+    # of its own loop, bit for bit.  Index j holds the sum for j/N; index 0
+    # is unused.
     n, p, g = site.modulus, site.p, site.generator
     with ctx.working():
-        zeta_n = _zeta_powers(n, ctx.digits)
-        totals = [mp.mpc(0)] * n
+        prec = mp.prec
+        zeta_n = [z._mpc_ for z in _zeta_powers(n, ctx.digits)]
+        quarter = {(fone, fzero): 0, (fzero, fone): 1, (fnone, fzero): 2, (fzero, fnone): 3}
+        # plans[m % N] lists zeta_N**(t m), with its quarter turn when it is
+        # one, for t = 1 .. period = N / gcd(m, N); repeated N / period times,
+        # its entry j - 1 is zeta_N**(j m).
+        plans = []
+        for step in range(n):
+            period = n // gcd(step, n)
+            plans.append([(quarter.get(zeta_n[k]), zeta_n[k])
+                          for k in (t * step % n for t in range(1, period + 1))])
+        p_mpf = from_int(p)
+        re, im = [fzero] * (n - 1), [fzero] * (n - 1)
         x = 1
         for m in range(p - 1):
-            root = mp.expjpi(mpf(2 * ((scale * x) % p)) / p)
-            for j in range(1, n):
-                totals[j] += zeta_n[(j * m) % n] * root
+            root = c, s = mpf_cos_sin_pi(mpf_div(from_int(2 * ((scale * x) % p)), p_mpf,
+                                                 prec, "n"), prec, "n")
+            turns = root, (mpf_neg(s), c), (mpf_neg(c), mpf_neg(s)), (s, mpf_neg(c))
+            plan = plans[m % n]
+            terms = [mpc_mul(zeta, root, prec, "n") if turn is None else turns[turn]
+                     for turn, zeta in plan] * (n // len(plan))
+            re = [mpf_add(total, a, prec, "n") for total, (a, _) in zip(re, terms)]
+            im = [mpf_add(total, b, prec, "n") for total, (_, b) in zip(im, terms)]
             x = (x * g) % p
-        return (None, *(-total for total in totals[1:]))
+        return (None, *(-mp.make_mpc(total) for total in zip(re, im)))
 
 
 def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,

@@ -98,23 +98,6 @@ def s_factor(x: Rational, ctx: PrecisionContext):
         return mp.pi / mp.sinpi(ctx.to_mpf(q))
 
 
-def sin_pi(x: Rational, ctx: PrecisionContext):
-    """sin(pi x) with exact argument reduction for rationals."""
-    with ctx.working():
-        return mp.sinpi(ctx.to_mpf(_as_fraction(x)))
-
-
-def cos_pi(x: Rational, ctx: PrecisionContext):
-    """cos(pi x) with exact argument reduction for rationals."""
-    with ctx.working():
-        return mp.cospi(ctx.to_mpf(_as_fraction(x)))
-
-
-def pi_value(ctx: PrecisionContext):
-    with ctx.working():
-        return +mp.pi
-
-
 def pow_rat(base, exponent: Rational, ctx: PrecisionContext):
     """Principal real power base**(p/q) for base > 0."""
     e = _as_fraction(exponent)

@@ -208,7 +208,7 @@ def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
             return c, masses
         # E8: no standalone closed form is quoted for the constant; derive it
         # from the square identity Gamma(f)^2 = (sine product) * (ratio product)
-        # using the exact ratio value 2**(17/15) 3**(-2/5) 5**(-1/6) at the
+        # using the exact ratio value 2**(2/15) 3**(-2/5) 5**(-1/6) at the
         # terminal node.  Both factors are algebraic, so c stays algebraic.
         f_last = word_of_root_system(rs, 8)
         s_prod = evaluate_sine_product(f_last, ctx)

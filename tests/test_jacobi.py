@@ -159,19 +159,39 @@ def test_one_sweep_gauss_sums_equal_one_residue_sums_bitwise(modulus, p, digits)
                 _one_residue_gauss_sum(j, site, ctx, scale)
 
 
+@settings(max_examples=8, deadline=None)
+@given(st.integers(2, 40), st.integers(2, 399), st.integers(20, 60), st.data())
+def test_one_sweep_gauss_sums_equal_one_residue_sums_at_drawn_sites(modulus, bound, digits,
+                                                                    data):
+    # The least admissible prime above the bound, and the scale 1 or a unit.
+    site, ctx = find_site(modulus, p_min=bound), PrecisionContext(digits)
+    scale = data.draw(st.one_of(st.just(1), st.integers(2, site.p - 1)), label="scale")
+    for j in range(1, modulus):
+        assert gauss_sum(j, site, ctx, additive_scale=scale) == \
+            _one_residue_gauss_sum(j, site, ctx, scale)
+
+
+@pytest.mark.parametrize("modulus,p", [(12, 1993), (30, 1201)])
+def test_one_sweep_gauss_sums_equal_one_residue_sums_at_large_primes(modulus, p):
+    # Sweep-sized sites: E6 near p = 2000 and E8 at p = 1201.
+    site, ctx = PrimeSite(modulus, p), PrecisionContext(50)
+    for j in range(1, modulus):
+        assert gauss_sum(j, site, ctx) == _one_residue_gauss_sum(j, site, ctx, 1)
+
+
 def test_one_sweep_evaluates_each_additive_character_once(monkeypatch):
     # E6 words cover every nonzero residue mod 12; one residue at a time
     # would take (N - 1)(p - 1) = 396 root evaluations here.
     jacobi._gauss_values.cache_clear()
     site, ctx = PrimeSite(12, 37), PrecisionContext(30)
     calls = [0]
-    expjpi = mp.expjpi
+    cos_sin_pi = jacobi.mpf_cos_sin_pi
 
-    def counted_expjpi(x):
+    def counted_cos_sin_pi(*args):
         calls[0] += 1
-        return expjpi(x)
+        return cos_sin_pi(*args)
 
-    monkeypatch.setattr(mp, "expjpi", counted_expjpi)
+    monkeypatch.setattr(jacobi, "mpf_cos_sin_pi", counted_cos_sin_pi)
     system = rs("E6")
     for i in range(1, system.rank + 1):
         hecke_value(word_of_root_system(system, i), site, ctx)
