@@ -30,21 +30,24 @@ from .spectra import (affine_theorem, gamma_ratio_profile, gamma_vector, lambda_
                       verify_pairing_sums, verify_pf_eigenvector)
 from .specialfn import PrecisionContext, trig_identities_suite
 
-VERIFY_CHOICES = ("1.1", "1.2", "1.3", "4.2", "4.4", "all")
+# 1.2 and 1.3 share one checker; "all" runs each distinct checker once.
+CHECKS = {
+    "1.1": verify_pf_eigenvector,
+    "1.2": verify_affine_masses,
+    "1.3": verify_affine_masses,
+    "4.2": lambda rs, ctx, tol: verify_membership(rs, tol),
+    "4.4": lambda rs, ctx, tol: verify_pairing_sums(rs, tol),
+}
+VERIFY_CHOICES = (*CHECKS, "all")
 
 ENV_DIGITS = "CARTAN_GAMMA_DIGITS"
 
 
 def default_battery() -> tuple[RootSystemLabel, ...]:
     """Classical families to rank 12 plus the exceptional types."""
-    labels = [RootSystemLabel("A", n) for n in range(1, 13)]
-    labels += [RootSystemLabel("B", n) for n in range(2, 13)]
-    labels += [RootSystemLabel("C", n) for n in range(2, 13)]
-    labels += [RootSystemLabel("D", n) for n in range(3, 13)]
-    labels += [RootSystemLabel("E", n) for n in (6, 7, 8)]
-    labels.append(RootSystemLabel("F", 4))
-    labels.append(RootSystemLabel("G", 2))
-    return tuple(sorted(labels, key=lambda lb: (lb.family, lb.rank)))
+    ranks = {"A": range(1, 13), "B": range(2, 13), "C": range(2, 13), "D": range(3, 13),
+             "E": (6, 7, 8), "F": (4,), "G": (2,)}
+    return tuple(RootSystemLabel(family, n) for family in ranks for n in ranks[family])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -67,37 +70,34 @@ def _build_parser() -> argparse.ArgumentParser:
                     "machine verification of their eigenvector and mass formulas.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("roots", parents=[common, typed],
-                   help="exact combinatorial data of one root system")
-    sub.add_parser("pf", parents=[common, typed],
-                   help="positive eigenvector by power iteration")
-    sub.add_parser("gamma", parents=[common, typed],
-                   help="Gamma-product vector and closed-form masses")
-    sub.add_parser("words", parents=[common, typed],
-                   help="exponent words of every simple index")
-    sub.add_parser("classify", parents=[common, typed],
-                   help="membership verdicts for the words and their tildes")
+    def command(name, run, text, *parents):
+        cmd = sub.add_parser(name, parents=[common, *parents], help=text)
+        cmd.set_defaults(run=run)
+        return cmd
 
-    ver = sub.add_parser("verify", parents=[common],
-                         help="run named verifications")
+    command("roots", _cmd_roots, "exact combinatorial data of one root system", typed)
+    command("pf", _cmd_pf, "positive eigenvector by power iteration", typed)
+    command("gamma", _cmd_gamma, "Gamma-product vector and closed-form masses", typed)
+    command("words", _cmd_words, "exponent words of every simple index", typed)
+    command("classify", _cmd_classify,
+            "membership verdicts for the words and their tildes", typed)
+
+    ver = command("verify", _cmd_verify, "run named verifications")
     ver.add_argument("check", choices=VERIFY_CHOICES)
     ver.add_argument("--type", dest="label", default=None,
                      help="single label (default: whole battery)")
 
-    jac = sub.add_parser("jacobi", parents=[common, typed],
-                         help="character sums at a degree-one prime site")
+    jac = command("jacobi", _cmd_jacobi, "character sums at a degree-one prime site", typed)
     jac.add_argument("--prime", type=int, default=None,
                      help=f"use this prime (must be 1 mod h, at most {MAX_PRIME:,})")
     jac.add_argument("--pmin", type=int, default=2,
                      help="smallest admissible prime to search from")
 
-    sel = sub.add_parser("selberg", parents=[common],
-                         help="closed forms vs quadrature oracles")
+    sel = command("selberg", _cmd_selberg, "closed forms vs quadrature oracles")
     sel.add_argument("--grid", type=int, default=0,
                      help="restrict each parameter grid to its first K points")
 
-    sub.add_parser("identities", parents=[common],
-                   help="exact trigonometric identity suite")
+    command("identities", _cmd_identities, "exact trigonometric identity suite")
     return parser
 
 
@@ -128,7 +128,7 @@ def _complex_pair(z, ctx: PrecisionContext) -> list[str]:
     return [_dec(z.real, ctx), _dec(z.imag, ctx)]
 
 
-def _report_row(report, ctx: PrecisionContext) -> dict:
+def _report_row(report) -> dict:
     return {
         "theorem": report.theorem,
         "type": report.system,
@@ -260,25 +260,15 @@ def _cmd_verify(args, ctx, tol):
             raise DomainError(f"theorem {args.check} does not cover {labels[0]}; "
                               f"its affine masses fall under {affine_theorem(labels[0])}")
         labels = covered
-    checks = ["1.1", "1.2", "4.2", "4.4"] if args.check == "all" else [args.check]
-    reports = []
-    for label in labels:
-        rs = build_root_system(label)
-        for token in checks:
-            if token == "1.1":
-                reports.append(verify_pf_eigenvector(rs, ctx, tol))
-            elif token in ("1.2", "1.3"):
-                reports.append(verify_affine_masses(rs, ctx, tol))
-            elif token == "4.2":
-                reports.append(verify_membership(rs, tol))
-            elif token == "4.4":
-                reports.append(verify_pairing_sums(rs, tol))
+    checks = dict.fromkeys(CHECKS.values()) if args.check == "all" else [CHECKS[args.check]]
+    reports = [check(rs, ctx, tol)
+               for rs in map(build_root_system, labels) for check in checks]
     all_pass = all(r.passed for r in reports)
     payload = {"reports": [r.to_json_dict(ctx.digits) for r in reports], "pass": all_pass}
     lines = [_report_line(r) for r in reports]
     lines.append(f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'} "
                  f"({len(reports)} reports)")
-    rows = [_report_row(r, ctx) for r in reports]
+    rows = [_report_row(r) for r in reports]
     return payload, lines, rows, 0 if all_pass else 1
 
 
@@ -370,21 +360,8 @@ def _cmd_identities(args, ctx, tol):
     lines = [_report_line(report)]
     for name, res in zip(report.labels, report.residuals):
         lines.append(f"  {name:<32} residual {decimal_string(res, 6)}")
-    rows = [_report_row(report, ctx)]
+    rows = [_report_row(report)]
     return payload, lines, rows, 0 if report.passed else 1
-
-
-_HANDLERS = {
-    "roots": _cmd_roots,
-    "pf": _cmd_pf,
-    "gamma": _cmd_gamma,
-    "words": _cmd_words,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "jacobi": _cmd_jacobi,
-    "selberg": _cmd_selberg,
-    "identities": _cmd_identities,
-}
 
 
 def _emit(args, payload, lines, rows) -> None:
@@ -411,7 +388,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx, tol = _resolve_context(args)
-        payload, lines, rows, code = _HANDLERS[args.command](args, ctx, tol)
+        payload, lines, rows, code = args.run(args, ctx, tol)
         _emit(args, payload, lines, rows)
     except (CartanGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -188,14 +188,11 @@ def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
     fam, n = rs.label.family, rs.rank
     with ctx.working():
         masses = mass_vector_closed_form(rs, ctx)
-        if fam == "A":
+        if fam in ("A", "C"):
             return mpf(1), masses
-        if fam == "C":
-            return mpf(1), masses
-        if fam == "B":
-            return pow_rat(2, Q(1, n), ctx), tuple(m / 2 for m in masses)
-        if fam == "D":
-            return pow_rat(2, Q(1, n - 1), ctx), tuple(m / 2 for m in masses)
+        if fam in ("B", "D"):
+            exponent = Q(1, n) if fam == "B" else Q(1, n - 1)
+            return pow_rat(2, exponent, ctx), tuple(m / 2 for m in masses)
         if fam == "G":
             return pow_rat(2, Q(-2, 3), ctx), masses
         if fam == "F" or (fam == "E" and n == 6):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import multiprocessing
@@ -191,6 +192,48 @@ def test_verify_affine_theorem_runs_only_its_types(capsys):
     reports = json.loads(out)["reports"]
     assert {r["theorem"] for r in reports} == {"1.3"}
     assert len(reports) == 11 + 11 + 2  # B2-B12, C2-C12, F4, G2
+
+
+# The first 16 hex digits of the sha256 of stdout in json, text and csv, at the
+# default precision.  These pin every verify token's report, not only its verdict:
+# a change to any of these bytes must be deliberate, with its digest edited here.
+FIXED_OUTPUT_DIGESTS = {
+    "roots --type E8": ("f6bfaeed7827b323", "c39ca2cafa669354", "035d0358630b319a"),
+    "pf --type E8": ("be8106f1fddd407d", "41851c39eef1c1a4", "fa63b01f6e0506d0"),
+    "gamma --type E8": ("5151167ce028fce0", "ed38baf3852071f0", "e3a0d6a0f5a4f246"),
+    "verify all --type E8": ("f0f8b57bc94ccb88", "8d865e1046719f1e", "232f6145befd90dc"),
+    "verify 1.1 --type E8": ("961aeb508acb4d5d", "7b33c36749346b95", "12f621448d934814"),
+    "verify 1.2 --type E8": ("8ba219cb629a9662", "11babcad302c608e", "a4f01659d61ac935"),
+    "verify 4.2 --type E8": ("3b89f650381ba6f0", "b86f750dd2f1d54c", "3b39c746c357f1fd"),
+    "verify 4.4 --type E8": ("654f69957268eb9f", "f7f55a50a5bbe8cb", "128fadfba7ccf4f3"),
+    "verify all --type F4": ("df81ef42de7bf0b5", "6feb5c58f5297730", "9b6472da4421d3f1"),
+    "verify 1.3 --type F4": ("149ab8cbe9a610e8", "39b4a96bbcd41b04", "2d450d42bf7f8d37"),
+    "verify 4.2 --type A2": ("612b1278beff7383", "69861c6bd35c7ed4", "afab4d5145ef482c"),
+    "words --type E6": ("166dc337ca573954", "0aae3feb5d511418", "3df24daa63e2fc05"),
+    "classify --type E6": ("8d756a4351a2b3d0", "53fbfd6040eefda7", "cb1da6f0c084c447"),
+    "jacobi --type E6 --prime 13":
+        ("7305e6aa2db0ac8f", "4366137f89c262fb", "56d0bd27b4be9ad6"),
+    "jacobi --type E7 --prime 19 --digits 20":
+        ("952154207d81f17a", "f61534a0944b2065", "f063f9db876ef6d6"),
+    "identities": ("f8a156a71fdf5f5e", "8c3067c76376dc38", "5209919847885138"),
+    "selberg --grid 1 --digits 20":
+        ("3c3b9a3d2da2e234", "afdc6e968f598a57", "fc470eb51d5536f6"),
+}
+
+
+def test_fixed_argument_output_keeps_its_bytes(monkeypatch):
+    monkeypatch.delenv("CARTAN_GAMMA_DIGITS", raising=False)
+    codes, digests = set(), {}
+    for command in FIXED_OUTPUT_DIGESTS:
+        row = []
+        for fmt in ("json", "text", "csv"):
+            out = io.StringIO()
+            with redirect_stdout(out):
+                codes.add(main([*command.split(), "--format", fmt]))
+            row.append(hashlib.sha256(out.getvalue().encode()).hexdigest()[:16])
+        digests[command] = tuple(row)
+    assert codes == {0}
+    assert digests == FIXED_OUTPUT_DIGESTS
 
 
 def test_unknown_subcommand_exits_2():
