@@ -215,6 +215,9 @@ FIXED_OUTPUT_DIGESTS = {
         ("7305e6aa2db0ac8f", "4366137f89c262fb", "56d0bd27b4be9ad6"),
     "jacobi --type E7 --prime 19 --digits 20":
         ("952154207d81f17a", "f61534a0944b2065", "f063f9db876ef6d6"),
+    "jacobi --type E6 --prime 2029":
+        ("2683d288867a79b9", "1618121a06ff698a", "e66bf64268514074"),
+    "jacobi --type A22": ("0aea231dda0ca7bf", "f7f94ecbf4e9a5f1", "f5fe6cc5c8854919"),
     "identities": ("f8a156a71fdf5f5e", "8c3067c76376dc38", "5209919847885138"),
     "selberg --grid 1 --digits 20":
         ("3c3b9a3d2da2e234", "afdc6e968f598a57", "fc470eb51d5536f6"),
