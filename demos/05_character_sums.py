@@ -3,7 +3,9 @@
 At a prime p = 1 (mod h), each exponent word turns into a product of
 character sums.  For the words coming from root systems the normalized
 value has unit modulus, does not depend on the additive character, and is
-recognized as an actual root of unity in the h-th cyclotomic field.
+an actual root of unity zeta_2h^m in the h-th cyclotomic field: m comes
+from integers mod p by Stickelberger's congruence, and the numeric value
+confirms it.
 
 A site is PrimeSite(N, p); its primitive root is derived from p.  The
 character sums are returned as plain complex numbers.
@@ -13,7 +15,8 @@ from mpmath import mp, mpf
 
 from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel,
                           build_root_system, find_site, gauss_sum, hecke_value, jacobi_sum,
-                          psi_order, recognize_cyclotomic, word_of_root_system)
+                          psi_exponent, psi_order, recognize_root_of_unity,
+                          word_of_root_system)
 
 ctx = PrecisionContext(50)
 e6 = build_root_system(RootSystemLabel.parse("E6"))
@@ -36,11 +39,12 @@ with ctx.working():
         w = word_of_root_system(e6, i)
         j = jacobi_sum(w, site, ctx)
         psi = hecke_value(w, site, ctx)
-        coeffs = recognize_cyclotomic(psi, 12, max_coeff=4, tol=mpf(10) ** -20, ctx=ctx)
+        m = psi_exponent(w, site)
+        coeffs = recognize_root_of_unity(psi, m, 12, max_coeff=4, tol=mpf(10) ** -20, ctx=ctx)
         order = psi_order(w, site, ctx)
         print(f"   f(E6,{i}): |J| = {mp.nstr(abs(j), 10)} (= 1/p), "
               f"psi = {mp.nstr(psi, 8)}")
-        print(f"      root of unity of order {order}; "
+        print(f"      root of unity zeta_24^{m} of order {order}; "
               f"coordinates over the power basis: {list(coeffs)}")
 
     print()

@@ -10,7 +10,8 @@ from .gammawords import (GammaWord, MembershipVerdict, classify, evaluate,
                          pairing_height_sum, tilde, u_act, units,
                          word_of_root_system)
 from .jacobi import (PrimeSite, find_site, gauss_sum, hecke_value, jacobi_sum,
-                     psi_order, recognize_cyclotomic)
+                     psi_exponent, psi_order, recognize_cyclotomic,
+                     recognize_root_of_unity, root_order)
 from .reports import VerificationReport, decimal_string
 from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
                       affine_cartan_matrix_dual, build_root_system,

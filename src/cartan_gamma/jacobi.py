@@ -1,4 +1,5 @@
-"""Finite-field character sums and numeric cyclotomic recognition.
+"""Finite-field character sums, the exact root of unity behind a word's
+normalized sum, and cyclotomic recognition.
 
 Sites are degree-one primes p = 1 (mod N), so the residue field is the
 prime field and the trace is the identity.  A site is just (N, p): the
@@ -7,20 +8,28 @@ primitive root mod p, to exp(2 pi i / N); any other choice is a conjugate
 and is covered by the unit-group action on exponent words.  Character
 sums are returned as plain mpmath complex numbers.
 
-Values in the ring of integers of the N-th cyclotomic field are
+For a member word the normalized sum psi is a root of unity zeta_2N**m,
+and :func:`psi_exponent` finds m from integers mod p alone, by
+Stickelberger's congruence (Washington, Introduction to Cyclotomic
+Fields, 6.2; Gross and Koblitz, Ann. of Math. 109, 1979).  Its order and
+its integer coordinates over the power basis (zeta_N**m reduced mod the
+cyclotomic polynomial) follow from m; the numeric psi is kept as the
+check that the word sum really is that root.
+
+Other values in the ring of integers of the N-th cyclotomic field are
 recognized by one PSLQ integer-relation search over the real numbers
 re w + pi im w, for w the target and the power basis (Ferguson, Bailey
 and Arno, Math. Comp. 68, 1999); pi, being transcendental, keeps the
 real and imaginary parts of a relation apart.
-The candidate is accepted only after high-precision re-evaluation against
-the stated tolerance.
+Every candidate is accepted only after high-precision re-evaluation
+against the stated tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 
 from mpmath import mp, mpf
 from mpmath.libmp import (fnone, fone, fzero, from_int, mpc_mul, mpf_add, mpf_cos_sin_pi,
@@ -180,21 +189,83 @@ def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
                 additive_scale: int = 1):
     """p**(-k) times the word's character-sum product; unit modulus for
     member words.  Raises NotInC when the word fails membership."""
+    k = _weight(f)
+    with ctx.working():
+        return mpf(site.p) ** (-k) * jacobi_sum(f, site, ctx, additive_scale)
+
+
+def _weight(f: GammaWord) -> int:
+    """The word's weight k; NotInC when the word fails membership."""
     verdict = classify(f)
     if not verdict.in_C:
         raise NotInC(f"word {f} fails membership (witness {verdict.witness})")
-    with ctx.working():
-        return mpf(site.p) ** (-verdict.k) * jacobi_sum(f, site, ctx, additive_scale)
+    return verdict.k
+
+
+def psi_exponent(f: GammaWord, site: PrimeSite) -> int:
+    """The m in [0, 2N) with hecke_value(f, site) = zeta_2N**m, from
+    integers mod p.  Raises NotInC when the word fails membership and
+    DomainError when its modulus is not the site's.
+
+    Let pi = zeta_p - 1 and a_j = (N - j)(p - 1)/N.  In the prime above p
+    where zeta_N = g**((p-1)/N), the character of j/N is omega**(-a_j),
+    omega the Teichmueller character, and Stickelberger's congruence reads
+    sum_x omega**(-a)(x) zeta_p**x = -pi**a / a!  mod pi**(a+1); gauss_sum
+    negates that sum, so G(j) = pi**(a_j) / a_j!  mod pi**(a_j+1).  From
+    p = prod_x (1 - zeta_p**x) and (1 - zeta_p**x)/(1 - zeta_p) = x mod pi,
+    p = (p - 1)! pi**(p-1) = -pi**(p-1) times a unit = 1 mod pi.
+    Membership makes sum_j c_j a_j = k (p - 1), so for every weight k
+
+        psi = p**(-k) prod_j G(j)**c_j = (-1)**k prod_j (a_j!)**(-c_j)  mod pi,
+
+    which is also (-1)**(sum c_j + k), since sum_j c_j = 2k for a member
+    word.  Such a psi is a unit whose conjugates all have modulus 1, hence
+    a root of unity in Q(zeta_N); those reduce injectively mod p, so the
+    residue fixes m.
+    """
+    k = _weight(f)
+    if f.modulus != site.modulus:
+        raise DomainError(f"word modulus {f.modulus} != site modulus {site.modulus}")
+    p = site.p
+    factorials, exponents = _stickelberger_table(site)
+    residue = p - 1 if k % 2 else 1
+    for j, c in f.coeffs:
+        residue = residue * pow(factorials[j], -c, p) % p
+    return exponents[residue]
+
+
+@lru_cache(maxsize=None)
+def _stickelberger_table(site: PrimeSite) -> tuple[tuple, dict]:
+    # factorials[j] = a_j! mod p, from one pass over 1 .. (N-1)(p-1)/N that
+    # keeps only those N - 1 values; index 0 is unused.  exponents maps the
+    # residue of each root of unity zeta_2N**m of Q(zeta_N) to m: zeta_N
+    # reduces to g**((p-1)/N), so zeta_2N**m reduces to g**(m (p-1)/2N),
+    # an integer power because m is even when N is.
+    n, p = site.modulus, site.p
+    step = (p - 1) // n
+    factorials, acc = [None] * n, 1
+    for i in range(1, n):
+        for a in range((i - 1) * step + 1, i * step + 1):
+            acc = acc * a % p
+        factorials[n - i] = acc
+    g = site.generator
+    exponents = {pow(g, m * (p - 1) // (2 * n), p): m for m in range(0, 2 * n, 2 - n % 2)}
+    return tuple(factorials), exponents
 
 
 def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | None:
     """Order of the normalized word sum as a 2N-th root of unity, or None
-    when it lies farther than the context tolerance from every one."""
-    n2 = 2 * site.modulus
+    when it lies farther than the context tolerance from zeta_2N**m, m its
+    psi_exponent."""
+    return root_order(hecke_value(f, site, ctx), psi_exponent(f, site), site.modulus, ctx)
+
+
+def root_order(z, m: int, modulus: int, ctx: PrecisionContext) -> int | None:
+    """Order 2N / gcd(m, 2N) of zeta_2N**m when z lies within the context
+    tolerance of it, else None."""
+    n2 = 2 * modulus
     with ctx.working():
-        psi = hecke_value(f, site, ctx)
-        m = int(mp.nint(mp.arg(psi) * n2 / (2 * mp.pi))) % n2
-        if abs(psi - mp.expjpi(mpf(2 * m) / n2)) >= ctx.tolerance:
+        if abs(z - mp.expjpi(mpf(2 * m) / n2)) >= ctx.tolerance:
             return None
     return n2 // gcd(m, n2)
 
@@ -228,20 +299,13 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     within ``max_coeff`` and the re-evaluated combination lies within ``tol``
     of z.
     """
-    require_int(modulus, "modulus", minimum=1)
-    require_int(max_coeff, "max_coeff", minimum=0)
     ctx = ctx or PrecisionContext()
     with ctx.working():
-        tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
-        phi = _euler_phi(modulus)
-        zetas = _zeta_powers(modulus, ctx.digits)[:phi]
-        z = mp.mpc(z)
-        if not mp.isfinite(z):
-            raise DomainError(f"cannot recognize the non-finite value {z}")
+        z, tol, zetas = _recognition_inputs(z, modulus, max_coeff, tol, ctx)
         x = [w.real + mp.pi * w.imag for w in (z, *zetas)]
         if abs(z) < tol or not x[0]:
             # The zero element; pslq rejects a zero entry.
-            coeffs = [0] * phi
+            coeffs = [0] * len(zetas)
         else:
             # pslq bounds every entry strictly below maxcoeff.
             relation = mp.pslq(x, tol=mpf(10) ** (2 - ctx.digits),
@@ -249,7 +313,79 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
             if relation is None or abs(relation[0]) != 1:
                 return None
             coeffs = [-relation[0] * c for c in relation[1:]]
-        recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
-        if abs(z - recombined) < tol:
-            return tuple(coeffs)
-        return None
+        return _accepted(z, coeffs, zetas, tol)
+
+
+def recognize_root_of_unity(z, m: int, modulus: int, max_coeff: int = 1000, tol=None,
+                            ctx: PrecisionContext | None = None):
+    """Integer coordinates of zeta_2N**m over the power basis of the N-th
+    cyclotomic integers, accepted as those of z by recognize_cyclotomic's
+    rules: every coordinate within ``max_coeff`` and the re-evaluated
+    combination within ``tol`` of z; otherwise None.
+
+    zeta_2N**m is zeta_N**(m/2) for even m and -zeta_N**((m+N)/2) for odd
+    m, which lies in Q(zeta_N) only for odd N; its coordinates are those of
+    +-x**e, for that power e, reduced mod the cyclotomic polynomial Phi_N in
+    integers.
+    """
+    ctx = ctx or PrecisionContext()
+    with ctx.working():
+        z, tol, zetas = _recognition_inputs(z, modulus, max_coeff, tol, ctx)
+        require_int(m, "exponent")
+        m %= 2 * modulus
+        if m % 2 and modulus % 2 == 0:
+            raise DomainError(f"zeta_{2 * modulus}**{m} is not in Q(zeta_{modulus})")
+        sign, e = (1, m // 2) if m % 2 == 0 else (-1, (m + modulus) // 2 % modulus)
+        phi = len(zetas)
+        coeffs = [0] * max(e + 1, phi)
+        coeffs[e] = sign
+        for top in range(e, phi - 1, -1):
+            # Subtract coeffs[top] x**(top - phi) Phi_N, which clears x**top.
+            lead = coeffs[top]
+            for i, c in enumerate(_cyclotomic_polynomial(modulus)):
+                coeffs[top - phi + i] -= lead * c
+        coeffs = coeffs[:phi]
+        if max(map(abs, coeffs)) > max_coeff:
+            return None
+        return _accepted(z, coeffs, zetas, tol)
+
+
+def _recognition_inputs(z, modulus: int, max_coeff: int, tol, ctx: PrecisionContext):
+    # The checked target, tolerance and power basis zeta_N**j, j < phi(N);
+    # called inside ctx.working().
+    require_int(modulus, "modulus", minimum=1)
+    require_int(max_coeff, "max_coeff", minimum=0)
+    tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
+    zetas = _zeta_powers(modulus, ctx.digits)[:_euler_phi(modulus)]
+    z = mp.mpc(z)
+    if not mp.isfinite(z):
+        raise DomainError(f"cannot recognize the non-finite value {z}")
+    return z, tol, zetas
+
+
+def _accepted(z, coeffs: list[int], zetas, tol):
+    recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
+    if abs(z - recombined) < tol:
+        return tuple(coeffs)
+    return None
+
+
+@lru_cache(maxsize=None)
+def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Phi_n for n >= 2, constant term first: the product over d | n of
+    (1 - x**d)**mu(n/d), in power series cut after degree phi(n)."""
+    phi = _euler_phi(n)
+    poly = [1] + [0] * phi
+    for d in range(1, n):
+        if n % d:
+            continue
+        primes = _prime_factors(n // d)
+        if prod(primes) != n // d:
+            continue  # mu(n/d) = 0
+        if len(primes) % 2:
+            for i in range(d, phi + 1):  # divide by 1 - x**d
+                poly[i] += poly[i - d]
+        else:
+            for i in range(phi, d - 1, -1):  # multiply by 1 - x**d
+                poly[i] -= poly[i - d]
+    return tuple(poly)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cartan_gamma.cli import VERIFY_CHOICES, default_battery, main
+from cartan_gamma.rootkit import MAX_RANK
 
 
 def run(capsys, *argv):
@@ -237,6 +238,25 @@ def test_fixed_argument_output_keeps_its_bytes(monkeypatch):
         digests[command] = tuple(row)
     assert codes == {0}
     assert digests == FIXED_OUTPUT_DIGESTS
+
+
+def test_jacobi_calls_no_pslq(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("jacobi ran a PSLQ search")
+    monkeypatch.setattr(mp, "pslq", refuse)
+    assert main(["jacobi", "--type", "E6", "--prime", "13"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("PASS: ")
+
+
+@pytest.mark.parametrize("family", "ABCD")
+def test_rank_above_the_bound_exits_2_before_any_build(family, capsys, monkeypatch):
+    def refuse(label):
+        raise AssertionError(f"built {label}")
+    monkeypatch.setattr("cartan_gamma.cli.build_root_system", refuse)
+    assert main(["roots", "--type", f"{family}{MAX_RANK + 1}"]) == 2
+    lo = {"A": 1, "B": 2, "C": 2, "D": 3}[family]
+    assert capsys.readouterr().err == \
+        f"error: {family}{MAX_RANK + 1}: rank must be in {lo}..{MAX_RANK}\n"
 
 
 def test_unknown_subcommand_exits_2():

@@ -1,5 +1,6 @@
 import dataclasses
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,11 @@ from mpmath import mp, mpf
 
 from cartan_gamma import jacobi
 from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
-                          SearchExhausted, find_site, gauss_sum, hecke_value,
-                          jacobi_sum, psi_order, recognize_cyclotomic, tilde,
+                          RootSystemLabel, SearchExhausted, build_root_system, find_site,
+                          gauss_sum, hecke_value, jacobi_sum, psi_exponent, psi_order,
+                          recognize_cyclotomic, recognize_root_of_unity, tilde,
                           word_of_root_system)
+from cartan_gamma.cli import default_battery
 from conftest import rs
 
 
@@ -286,6 +289,85 @@ def test_psi_order_at_twenty_digits_matches_fifty():
     for i in range(1, system.rank + 1):
         f = word_of_root_system(system, i)
         assert psi_order(f, site, PrecisionContext(20)) == psi_order(f, site, PrecisionContext(50))
+
+
+# Labels whose Coxeter numbers run over every modulus up to 40: the battery
+# (moduli 2 to 30) and A13 to A39.
+SITE_LABELS = (*default_battery(), *(RootSystemLabel("A", r) for r in range(13, 40)))
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(SITE_LABELS), st.integers(2, 399))
+def test_psi_exponent_names_the_numeric_root_at_drawn_sites(label, bound):
+    # The least admissible prime above the bound; every word and its tilde.
+    system = build_root_system(label)
+    n = system.h
+    site, ctx, coarse = find_site(n, p_min=bound), PrecisionContext(50), PrecisionContext(20)
+    for i in range(1, system.rank + 1):
+        word = word_of_root_system(system, i)
+        for f in (word, tilde(word)):
+            m = psi_exponent(f, site)
+            assert 0 <= m < 2 * n and (n % 2 or m % 2 == 0)
+            with ctx.working():
+                assert abs(hecke_value(f, site, ctx) - mp.expjpi(mpf(m) / n)) < ctx.tolerance
+            order = psi_order(f, site, ctx)
+            assert order == 2 * n // gcd(m, 2 * n) == psi_order(f, site, coarse)
+
+
+def test_psi_exponent_refuses_non_members_and_foreign_sites():
+    site = find_site(12)
+    with pytest.raises(NotInC):
+        psi_exponent(GammaWord.from_coeffs(12, {1: 1}), site)
+    with pytest.raises(DomainError, match="site modulus"):
+        psi_exponent(word_of_root_system(rs("E6"), 1), find_site(18))
+
+
+def test_psi_order_is_none_off_the_exponent(monkeypatch, ctx):
+    # A numeric psi that is not the root the congruence names has no order.
+    site = find_site(12)
+    f = word_of_root_system(rs("E6"), 1)
+    m = psi_exponent(f, site)
+    monkeypatch.setattr(jacobi, "psi_exponent", lambda f, site: (m + 2) % 24)
+    assert psi_order(f, site, ctx) is None
+
+
+def test_root_of_unity_coordinates_match_pslq():
+    # Every root of unity zeta_2N**m of Q(zeta_N), N <= 40: the integer
+    # reduction mod Phi_N recombines to it, and at the battery's Coxeter
+    # numbers it is what recognize_cyclotomic returns, None included.  PSLQ
+    # at the other moduli takes up to minutes each (N = 31: 133 s).
+    battery_moduli = {build_root_system(label).h for label in default_battery()}
+    ctx = PrecisionContext(50)
+    with ctx.working():
+        for n in range(2, 41):
+            zetas = [mp.expjpi(mpf(2 * j) / n) for j in range(n)]
+            for m in range(0, 2 * n, 2 - n % 2):
+                z = mp.expjpi(mpf(m) / n)
+                coords = recognize_root_of_unity(z, m, n, max_coeff=4, ctx=ctx)
+                assert coords is not None
+                assert abs(sum(c * w for c, w in zip(coords, zetas)) - z) < mpf(10) ** -45
+                if n in battery_moduli:
+                    assert coords == recognize_cyclotomic(z, n, max_coeff=4, ctx=ctx)
+
+
+def test_recognize_root_of_unity_keeps_the_null_rules(ctx):
+    with ctx.working():
+        zeta = mp.expjpi(mpf(1) / 6)  # zeta_12 = zeta_24**2
+        assert recognize_root_of_unity(zeta, 2, 12, ctx=ctx) == (0, 1, 0, 0)
+        # A coordinate above max_coeff, and a value off the named root.
+        assert recognize_root_of_unity(zeta, 2, 12, max_coeff=0, ctx=ctx) is None
+        assert recognize_root_of_unity(zeta, 4, 12, ctx=ctx) is None
+        near = zeta + mpf(10) ** -15
+        assert recognize_root_of_unity(near, 2, 12, ctx=ctx) is None
+        assert recognize_root_of_unity(near, 2, 12, tol=mpf(10) ** -10, ctx=ctx) == \
+            (0, 1, 0, 0)
+        # Odd m for odd N: zeta_6**3 = -1 over (1, zeta_3), zeta_2 = -1 over (1,).
+        assert recognize_root_of_unity(-1, 3, 3, ctx=ctx) == (-1, 0)
+        assert recognize_root_of_unity(-1, 1, 1, ctx=ctx) == (-1,)
+        with pytest.raises(DomainError, match="not in"):
+            recognize_root_of_unity(zeta, 1, 12, ctx=ctx)
+        with pytest.raises(DomainError, match="must be an integer"):
+            recognize_root_of_unity(zeta, 2.0, 12, ctx=ctx)
 
 
 def test_recognize_cyclotomic(ctx):
