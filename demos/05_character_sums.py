@@ -11,7 +11,7 @@ A site is PrimeSite(N, p); its primitive root is derived from p.  The
 character sums are returned as plain complex numbers.
 """
 
-from mpmath import mp, mpf
+from mpmath import mp
 
 from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel,
                           build_root_system, find_site, gauss_sum, hecke_value, jacobi_sum,
@@ -40,7 +40,7 @@ with ctx.working():
         j = jacobi_sum(w, site, ctx)
         psi = hecke_value(w, site, ctx)
         m = psi_exponent(w, site)
-        coeffs = recognize_root_of_unity(psi, m, 12, max_coeff=4, tol=mpf(10) ** -20, ctx=ctx)
+        coeffs = recognize_root_of_unity(psi, m, 12, ctx)
         order = psi_order(w, site, ctx)
         print(f"   f(E6,{i}): |J| = {mp.nstr(abs(j), 10)} (= 1/p), "
               f"psi = {mp.nstr(psi, 8)}")

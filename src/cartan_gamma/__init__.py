@@ -11,7 +11,7 @@ from .gammawords import (GammaWord, MembershipVerdict, classify, evaluate,
                          word_of_root_system)
 from .jacobi import (PrimeSite, find_site, gauss_sum, hecke_value, jacobi_sum,
                      psi_exponent, psi_order, recognize_cyclotomic,
-                     recognize_root_of_unity, root_order)
+                     recognize_root_of_unity)
 from .reports import VerificationReport, decimal_string
 from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
                       affine_cartan_matrix_dual, build_root_system,

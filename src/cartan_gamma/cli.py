@@ -18,8 +18,8 @@ from mpmath import mp, mpf
 
 from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
-from .jacobi import (MAX_PRIME, PrimeSite, find_site, hecke_value, jacobi_sum,
-                     psi_exponent, recognize_root_of_unity, root_order)
+from .jacobi import (MAX_PRIME, PrimeSite, _root_order, find_site, hecke_value, jacobi_sum,
+                     psi_exponent, recognize_root_of_unity)
 from .reports import decimal_string
 from .rootkit import RootSystemLabel, build_root_system
 from .selberg import (complex_parameter_grid, cross_validate, real_parameter_grid,
@@ -292,8 +292,8 @@ def _cmd_jacobi(args, ctx, tol):
             magnitude_residual = abs(abs(psi) - 1)
             worst = max(worst, magnitude_residual)
         m = psi_exponent(w, site)
-        order = root_order(psi, m, n, ctx)
-        coeffs = recognize_root_of_unity(psi, m, n, max_coeff=4, tol=mpf(10) ** -20, ctx=ctx)
+        order = _root_order(psi, m, n, ctx)
+        coeffs = recognize_root_of_unity(psi, m, n, ctx)
         entries.append({
             "N": n, "p": site.p, "word": w.to_json_dict(),
             "J": _complex_pair(jval, ctx),

@@ -42,6 +42,13 @@ from .specialfn import PrecisionContext
 # Largest prime a site may use, and find_site's default search cap.
 MAX_PRIME = 10_000_000
 
+# The jacobi command prints a word's cyclotomic coordinates as null when one
+# exceeds _ROOT_MAX_COEFF in size or their recombination lies _ROOT_TOL or
+# farther from the numeric psi: the answer recognize_cyclotomic gives with
+# max_coeff=4 and its default tol.
+_ROOT_MAX_COEFF = 4
+_ROOT_TOL = mpf(10) ** -20
+
 
 def _is_prime(n: int) -> bool:
     """Trial division; DomainError above MAX_PRIME, where it could stall."""
@@ -257,10 +264,10 @@ def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | Non
     """Order of the normalized word sum as a 2N-th root of unity, or None
     when it lies farther than the context tolerance from zeta_2N**m, m its
     psi_exponent."""
-    return root_order(hecke_value(f, site, ctx), psi_exponent(f, site), site.modulus, ctx)
+    return _root_order(hecke_value(f, site, ctx), psi_exponent(f, site), site.modulus, ctx)
 
 
-def root_order(z, m: int, modulus: int, ctx: PrecisionContext) -> int | None:
+def _root_order(z, m: int, modulus: int, ctx: PrecisionContext) -> int | None:
     """Order 2N / gcd(m, 2N) of zeta_2N**m when z lies within the context
     tolerance of it, else None."""
     n2 = 2 * modulus
@@ -299,13 +306,20 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     within ``max_coeff`` and the re-evaluated combination lies within ``tol``
     of z.
     """
+    require_int(modulus, "modulus", minimum=1)
+    require_int(max_coeff, "max_coeff", minimum=0)
     ctx = ctx or PrecisionContext()
     with ctx.working():
-        z, tol, zetas = _recognition_inputs(z, modulus, max_coeff, tol, ctx)
+        tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
+        phi = _euler_phi(modulus)
+        zetas = _zeta_powers(modulus, ctx.digits)[:phi]
+        z = mp.mpc(z)
+        if not mp.isfinite(z):
+            raise DomainError(f"cannot recognize the non-finite value {z}")
         x = [w.real + mp.pi * w.imag for w in (z, *zetas)]
         if abs(z) < tol or not x[0]:
             # The zero element; pslq rejects a zero entry.
-            coeffs = [0] * len(zetas)
+            coeffs = [0] * phi
         else:
             # pslq bounds every entry strictly below maxcoeff.
             relation = mp.pslq(x, tol=mpf(10) ** (2 - ctx.digits),
@@ -313,61 +327,46 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
             if relation is None or abs(relation[0]) != 1:
                 return None
             coeffs = [-relation[0] * c for c in relation[1:]]
-        return _accepted(z, coeffs, zetas, tol)
+        recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
+        if abs(z - recombined) < tol:
+            return tuple(coeffs)
+        return None
 
 
-def recognize_root_of_unity(z, m: int, modulus: int, max_coeff: int = 1000, tol=None,
-                            ctx: PrecisionContext | None = None):
+def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | None = None):
     """Integer coordinates of zeta_2N**m over the power basis of the N-th
-    cyclotomic integers, accepted as those of z by recognize_cyclotomic's
-    rules: every coordinate within ``max_coeff`` and the re-evaluated
-    combination within ``tol`` of z; otherwise None.
+    cyclotomic integers, accepted as those of z under the jacobi command's
+    null rules (_ROOT_MAX_COEFF, _ROOT_TOL); otherwise None.
 
     zeta_2N**m is zeta_N**(m/2) for even m and -zeta_N**((m+N)/2) for odd
     m, which lies in Q(zeta_N) only for odd N; its coordinates are those of
     +-x**e, for that power e, reduced mod the cyclotomic polynomial Phi_N in
     integers.
     """
+    require_int(modulus, "modulus", minimum=1)
+    require_int(m, "exponent")
+    m %= 2 * modulus
+    if m % 2 and modulus % 2 == 0:
+        raise DomainError(f"zeta_{2 * modulus}**{m} is not in Q(zeta_{modulus})")
+    sign, e = (1, m // 2) if m % 2 == 0 else (-1, (m + modulus) // 2 % modulus)
+    phi = _euler_phi(modulus)
+    coeffs = [0] * max(e + 1, phi)
+    coeffs[e] = sign
+    for top in range(e, phi - 1, -1):
+        # Subtract coeffs[top] x**(top - phi) Phi_N, which clears x**top.
+        lead = coeffs[top]
+        for i, c in enumerate(_cyclotomic_polynomial(modulus)):
+            coeffs[top - phi + i] -= lead * c
+    coeffs = coeffs[:phi]
+    if max(map(abs, coeffs)) > _ROOT_MAX_COEFF:
+        return None
     ctx = ctx or PrecisionContext()
     with ctx.working():
-        z, tol, zetas = _recognition_inputs(z, modulus, max_coeff, tol, ctx)
-        require_int(m, "exponent")
-        m %= 2 * modulus
-        if m % 2 and modulus % 2 == 0:
-            raise DomainError(f"zeta_{2 * modulus}**{m} is not in Q(zeta_{modulus})")
-        sign, e = (1, m // 2) if m % 2 == 0 else (-1, (m + modulus) // 2 % modulus)
-        phi = len(zetas)
-        coeffs = [0] * max(e + 1, phi)
-        coeffs[e] = sign
-        for top in range(e, phi - 1, -1):
-            # Subtract coeffs[top] x**(top - phi) Phi_N, which clears x**top.
-            lead = coeffs[top]
-            for i, c in enumerate(_cyclotomic_polynomial(modulus)):
-                coeffs[top - phi + i] -= lead * c
-        coeffs = coeffs[:phi]
-        if max(map(abs, coeffs)) > max_coeff:
-            return None
-        return _accepted(z, coeffs, zetas, tol)
-
-
-def _recognition_inputs(z, modulus: int, max_coeff: int, tol, ctx: PrecisionContext):
-    # The checked target, tolerance and power basis zeta_N**j, j < phi(N);
-    # called inside ctx.working().
-    require_int(modulus, "modulus", minimum=1)
-    require_int(max_coeff, "max_coeff", minimum=0)
-    tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
-    zetas = _zeta_powers(modulus, ctx.digits)[:_euler_phi(modulus)]
-    z = mp.mpc(z)
-    if not mp.isfinite(z):
-        raise DomainError(f"cannot recognize the non-finite value {z}")
-    return z, tol, zetas
-
-
-def _accepted(z, coeffs: list[int], zetas, tol):
-    recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
-    if abs(z - recombined) < tol:
-        return tuple(coeffs)
-    return None
+        zetas = _zeta_powers(modulus, ctx.digits)
+        recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
+        if abs(mp.mpc(z) - recombined) < _ROOT_TOL:
+            return tuple(coeffs)
+        return None
 
 
 @lru_cache(maxsize=None)

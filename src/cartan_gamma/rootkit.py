@@ -59,8 +59,8 @@ class RootSystemLabel:
         require_int(self.rank, "rank", InvalidRank)
         lo, hi = _RANK_RANGE[self.family]
         if not lo <= self.rank <= hi:
-            # Below its range a classical family names only its lower bound,
-            # as it did before MAX_RANK, so those messages keep their bytes.
+            # Below its range a classical family names only its lower bound:
+            # A0 gives "rank must be >= 1".
             bound = f">= {lo}" if hi == MAX_RANK and self.rank < lo else f"in {lo}..{hi}"
             raise InvalidRank(f"{self.family}{self.rank}: rank must be {bound}")
 

@@ -333,41 +333,45 @@ def test_psi_order_is_none_off_the_exponent(monkeypatch, ctx):
 
 def test_root_of_unity_coordinates_match_pslq():
     # Every root of unity zeta_2N**m of Q(zeta_N), N <= 40: the integer
-    # reduction mod Phi_N recombines to it, and at the battery's Coxeter
-    # numbers it is what recognize_cyclotomic returns, None included.  PSLQ
-    # at the other moduli takes up to minutes each (N = 31: 133 s).
-    battery_moduli = {build_root_system(label).h for label in default_battery()}
+    # reduction mod Phi_N recombines to it, and at Coxeter numbers of the
+    # battery it is what recognize_cyclotomic returns, None included: odd N
+    # with odd m (3, 7), E6 and F4 (12), the largest phi, 12 (A12 at 13), E7
+    # (18) and E8 (30).  PSLQ over all battery moduli takes about 2 s, and
+    # at some larger moduli minutes each (N = 31: 133 s).
     ctx = PrecisionContext(50)
     with ctx.working():
         for n in range(2, 41):
             zetas = [mp.expjpi(mpf(2 * j) / n) for j in range(n)]
             for m in range(0, 2 * n, 2 - n % 2):
                 z = mp.expjpi(mpf(m) / n)
-                coords = recognize_root_of_unity(z, m, n, max_coeff=4, ctx=ctx)
+                coords = recognize_root_of_unity(z, m, n, ctx)
                 assert coords is not None
                 assert abs(sum(c * w for c, w in zip(coords, zetas)) - z) < mpf(10) ** -45
-                if n in battery_moduli:
+                if n in (3, 7, 12, 13, 18, 30):
                     assert coords == recognize_cyclotomic(z, n, max_coeff=4, ctx=ctx)
 
 
-def test_recognize_root_of_unity_keeps_the_null_rules(ctx):
+def test_recognize_root_of_unity_keeps_the_null_rules(ctx, monkeypatch):
     with ctx.working():
         zeta = mp.expjpi(mpf(1) / 6)  # zeta_12 = zeta_24**2
-        assert recognize_root_of_unity(zeta, 2, 12, ctx=ctx) == (0, 1, 0, 0)
-        # A coordinate above max_coeff, and a value off the named root.
-        assert recognize_root_of_unity(zeta, 2, 12, max_coeff=0, ctx=ctx) is None
-        assert recognize_root_of_unity(zeta, 4, 12, ctx=ctx) is None
+        assert recognize_root_of_unity(zeta, 2, 12, ctx) == (0, 1, 0, 0)
+        # A value off the named root, and one near it but not within 1e-20.
+        assert recognize_root_of_unity(zeta, 4, 12, ctx) is None
         near = zeta + mpf(10) ** -15
-        assert recognize_root_of_unity(near, 2, 12, ctx=ctx) is None
-        assert recognize_root_of_unity(near, 2, 12, tol=mpf(10) ** -10, ctx=ctx) == \
-            (0, 1, 0, 0)
+        assert recognize_root_of_unity(near, 2, 12, ctx) is None
         # Odd m for odd N: zeta_6**3 = -1 over (1, zeta_3), zeta_2 = -1 over (1,).
-        assert recognize_root_of_unity(-1, 3, 3, ctx=ctx) == (-1, 0)
-        assert recognize_root_of_unity(-1, 1, 1, ctx=ctx) == (-1,)
+        assert recognize_root_of_unity(-1, 3, 3, ctx) == (-1, 0)
+        assert recognize_root_of_unity(-1, 1, 1, ctx) == (-1,)
         with pytest.raises(DomainError, match="not in"):
-            recognize_root_of_unity(zeta, 1, 12, ctx=ctx)
+            recognize_root_of_unity(zeta, 1, 12, ctx)
         with pytest.raises(DomainError, match="must be an integer"):
-            recognize_root_of_unity(zeta, 2.0, 12, ctx=ctx)
+            recognize_root_of_unity(zeta, 2.0, 12, ctx)
+        # Each rule reads its constant: a looser tolerance accepts the near
+        # value, and a smaller coordinate bound refuses the root itself.
+        monkeypatch.setattr(jacobi, "_ROOT_TOL", mpf(10) ** -10)
+        assert recognize_root_of_unity(near, 2, 12, ctx) == (0, 1, 0, 0)
+        monkeypatch.setattr(jacobi, "_ROOT_MAX_COEFF", 0)
+        assert recognize_root_of_unity(zeta, 2, 12, ctx) is None
 
 
 def test_recognize_cyclotomic(ctx):
