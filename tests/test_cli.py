@@ -218,6 +218,10 @@ FIXED_OUTPUT_DIGESTS = {
         ("952154207d81f17a", "f61534a0944b2065", "f063f9db876ef6d6"),
     "jacobi --type E6 --prime 2029":
         ("2683d288867a79b9", "1618121a06ff698a", "e66bf64268514074"),
+    "jacobi --type E6 --prime 2029 --digits 80":
+        ("84a264d7e0268b75", "686841f02b66f60a", "ac4a75b4e60b107f"),
+    "jacobi --type E8 --prime 1201":
+        ("a3fe14b91297864c", "c29560540927a70e", "e18d78c306e67f85"),
     "jacobi --type A22": ("0aea231dda0ca7bf", "f7f94ecbf4e9a5f1", "f5fe6cc5c8854919"),
     "identities": ("f8a156a71fdf5f5e", "8c3067c76376dc38", "5209919847885138"),
     "selberg --grid 1 --digits 20":
