@@ -32,8 +32,7 @@ from functools import lru_cache
 from math import gcd, prod
 
 from mpmath import mp, mpf
-from mpmath.libmp import (fnone, fone, fzero, from_int, mpc_mul, mpf_add, mpf_cos_sin_pi,
-                          mpf_div, mpf_neg)
+from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div
 
 from .errors import DomainError, NotInC, SearchExhausted, require_int, require_tolerance
 from .gammawords import GammaWord, classify
@@ -126,7 +125,9 @@ def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
     The first call at a site, context and scale computes all N - 1 sums in
     one sweep over the field: p - 1 root evaluations e(c x / p),
     (N - 1)(p - 1) complex additions, and at each step m at most one rounded
-    product per distinct j m mod N.  Later calls read the memo.
+    product per distinct j m mod N.  The sums and products run on integer
+    mantissas, rounded as mpmath rounds them, so each sum has the bits of
+    its own mpc loop.  Later calls read the memo.
     """
     require_int(j, "residue")
     j %= site.modulus
@@ -143,19 +144,20 @@ def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
     # x = g**m visits each nonzero residue once, and the root e(c x / p) is
     # computed once, by the call mp.expjpi(mpf(2 (c x mod p)) / p) makes.
     # Residue j adds zeta_N**(j m) e(c x / p) to its total in the order of m,
-    # as the one-residue loop does with mpc objects.  The product depends on
-    # j only through j m mod N, so it is rounded once per value, as mpc_mul
-    # rounds it; when zeta_N**(j m) is 1, i, -1 or -i, mpc_mul's exact
-    # products and one rounding of an exact value leave a swap of the root's
-    # parts and signs, taken directly.  Each total then takes the two
-    # mpf_adds of mpc_add.  Each sum thus sees the terms, order and roundings
-    # of its own loop, bit for bit.  Index j holds the sum for j/N; index 0
-    # is unused.
+    # as the one-residue loop does with mpc objects, here on signed integer
+    # (mantissa, exponent) pairs.  The product depends on j only through
+    # j m mod N, so _mul rounds it once per value, as mpc_mul does; for
+    # zeta_N**(j m) = 1, i, -1 or -i, mpc_mul's exact products leave a swap
+    # of the root's parts and signs, taken directly.  _add rounds each part
+    # of each total as mpf_add does.  Each sum thus sees the terms, order and
+    # roundings of its own loop, bit for bit.  Index j holds the sum for j/N;
+    # index 0 is unused.
     n, p, g = site.modulus, site.p, site.generator
     with ctx.working():
         prec = mp.prec
-        zeta_n = [z._mpc_ for z in _zeta_powers(n, ctx.digits)]
-        quarter = {(fone, fzero): 0, (fzero, fone): 1, (fnone, fzero): 2, (fzero, fnone): 3}
+        zeta_n = [tuple(map(_pair, z._mpc_)) for z in _zeta_powers(n, ctx.digits)]
+        quarter = {((1, 0), (0, 0)): 0, ((0, 0), (1, 0)): 1,
+                   ((-1, 0), (0, 0)): 2, ((0, 0), (-1, 0)): 3}
         # plans[m % N] lists zeta_N**(t m), with its quarter turn when it is
         # one, for t = 1 .. period = N / gcd(m, N); repeated N / period times,
         # its entry j - 1 is zeta_N**(j m).
@@ -165,19 +167,58 @@ def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
             plans.append([(quarter.get(zeta_n[k]), zeta_n[k])
                           for k in (t * step % n for t in range(1, period + 1))])
         p_mpf = from_int(p)
-        re, im = [fzero] * (n - 1), [fzero] * (n - 1)
+        re, im = [(0, 0)] * (n - 1), [(0, 0)] * (n - 1)
         x = 1
         for m in range(p - 1):
-            root = c, s = mpf_cos_sin_pi(mpf_div(from_int(2 * ((scale * x) % p)), p_mpf,
-                                                 prec, "n"), prec, "n")
-            turns = root, (mpf_neg(s), c), (mpf_neg(c), mpf_neg(s)), (s, mpf_neg(c))
+            root = c, s = tuple(map(_pair, mpf_cos_sin_pi(
+                mpf_div(from_int(2 * ((scale * x) % p)), p_mpf, prec, "n"), prec, "n")))
+            nc, ns = (-c[0], c[1]), (-s[0], s[1])
+            turns = root, (ns, c), (nc, ns), (s, nc)
             plan = plans[m % n]
-            terms = [mpc_mul(zeta, root, prec, "n") if turn is None else turns[turn]
+            terms = [_mul(zeta, root, prec) if turn is None else turns[turn]
                      for turn, zeta in plan] * (n // len(plan))
-            re = [mpf_add(total, a, prec, "n") for total, (a, _) in zip(re, terms)]
-            im = [mpf_add(total, b, prec, "n") for total, (_, b) in zip(im, terms)]
+            re = [_add(total, a, prec) for total, (a, _) in zip(re, terms)]
+            im = [_add(total, b, prec) for total, (_, b) in zip(im, terms)]
             x = (x * g) % p
-        return (None, *(-mp.make_mpc(total) for total in zip(re, im)))
+        return (None, *(-mp.make_mpc((from_man_exp(*a), from_man_exp(*b)))
+                        for a, b in zip(re, im)))
+
+
+def _pair(value: tuple) -> tuple[int, int]:
+    """The signed (mantissa, exponent) pair of a finite raw mpf."""
+    sign, man, exp, _ = value
+    return -man if sign else man, exp
+
+
+def _add(x: tuple[int, int], y: tuple[int, int], prec: int) -> tuple[int, int]:
+    """x + y for (mantissa, exponent) pairs, rounded to prec bits as mpf_add
+    rounds it: nearest, ties to even, from the exact sum, or, when one
+    operand lies more than prec + 4 bits and 100 exponents below the other,
+    from the larger one nudged by one unit toward it.  Either is correctly
+    rounded for operands of at most prec bits; wider ones, such as _mul's
+    exact products, must have odd mantissas, as mpmath stores them."""
+    (a, e), (b, f) = x, y
+    if e < f:
+        (a, e), (b, f) = (b, f), (a, e)
+    if e - f > 100 and a and b and a.bit_length() - b.bit_length() + e - f > prec + 4:
+        man, f = (a << prec + 4) + (1 if b > 0 else -1), e - prec - 4
+    else:
+        man = (a << e - f) + b
+    drop = man.bit_length() - prec
+    if drop <= 0:
+        return man, f
+    kept = man >> (drop - 1)  # the kept bits and the half bit, floored
+    if kept & 1 and (kept & 2 or man & ((1 << (drop - 1)) - 1)):
+        return (kept >> 1) + 1, f + drop
+    return kept >> 1, f + drop
+
+
+def _mul(z: tuple, w: tuple, prec: int) -> tuple:
+    """z w for complex numbers as pairs of (mantissa, exponent) pairs: each
+    part's two products exact, then one rounding by _add, as mpc_mul."""
+    ((a, e), (b, f)), ((c, g), (d, h)) = z, w
+    return (_add((a * c, e + g), (-b * d, f + h), prec),
+            _add((a * d, e + h), (b * c, f + g), prec))
 
 
 def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
@@ -230,7 +271,11 @@ def psi_exponent(f: GammaWord, site: PrimeSite) -> int:
     a root of unity in Q(zeta_N); those reduce injectively mod p, so the
     residue fixes m.
     """
-    k = _weight(f)
+    return _stickelberger_exponent(f, site, _weight(f))
+
+
+def _stickelberger_exponent(f: GammaWord, site: PrimeSite, k: int) -> int:
+    """psi_exponent of a member word already classified, of weight k."""
     if f.modulus != site.modulus:
         raise DomainError(f"word modulus {f.modulus} != site modulus {site.modulus}")
     p = site.p

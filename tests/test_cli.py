@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from cartan_gamma import cli, gammawords, jacobi
 from cartan_gamma.cli import VERIFY_CHOICES, default_battery, main
 from cartan_gamma.rootkit import MAX_RANK
 
@@ -250,6 +251,24 @@ def test_jacobi_calls_no_pslq(monkeypatch, capsys):
     monkeypatch.setattr(mp, "pslq", refuse)
     assert main(["jacobi", "--type", "E6", "--prime", "13"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("PASS: ")
+
+
+def test_jacobi_classifies_and_sums_each_word_once(monkeypatch):
+    # E6 has rank 6: one classify and one jacobi_sum per word, wherever the
+    # package binds them.
+    calls = dict.fromkeys(("classify", "jacobi_sum"), 0)
+    for name in calls:
+        original = getattr(jacobi, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        for module in (cli, gammawords, jacobi):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    with redirect_stdout(io.StringIO()):
+        assert main(["jacobi", "--type", "E6", "--prime", "13"]) == 0
+    assert calls == {"classify": 6, "jacobi_sum": 6}
 
 
 @pytest.mark.parametrize("family", "ABCD")

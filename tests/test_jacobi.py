@@ -3,9 +3,10 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpc_mul, mpf_add
 
 from cartan_gamma import jacobi
 from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
@@ -199,6 +200,72 @@ def test_one_sweep_evaluates_each_additive_character_once(monkeypatch):
     for i in range(1, system.rank + 1):
         hecke_value(word_of_root_system(system, i), site, ctx)
     assert 0 < calls[0] <= (site.p - 1) + site.modulus
+
+
+def _working_bits(digits):
+    with PrecisionContext(digits).working():
+        return mp.prec
+
+
+def _fit(man, prec):
+    """The top prec bits of a drawn mantissa, sign kept."""
+    return man >> max(0, man.bit_length() - prec) if man >= 0 else -_fit(-man, prec)
+
+
+MANTISSAS = st.integers(-(1 << 330), 1 << 330)
+EXPONENTS = st.integers(-400, 400)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((20, 50, 80)), st.sampled_from(("any", "tie", "cancel", "far", "zero")),
+       MANTISSAS, EXPONENTS, MANTISSAS, EXPONENTS)
+@example(20, "tie", 1 << 200, 0, 1, 0)
+@example(50, "tie", -(1 << 300) - 3, 7, -1, 0)
+@example(80, "cancel", -5, -9, 0, 0)
+@example(50, "far", 3 ** 150, 0, -(5 ** 90), 0)
+@example(20, "zero", -(3 ** 80), -40, 0, 0)
+def test_add_rounds_as_mpf_add(digits, kind, a, e, b, f):
+    # Operands of at most prec bits, as the sweep's totals and terms are.
+    # "tie" gives the first operand prec bits and puts the second on its
+    # half unit; "cancel" makes the sum exactly 0; "far" puts the second
+    # operand more than 100 bits below, where mpf_add takes its shortcut.
+    prec = _working_bits(digits)
+    a, b = _fit(a, prec), _fit(b, prec)
+    if kind == "tie":
+        top = 1 << prec - 1
+        a = -(-a | top) if a < 0 else a | top
+        b, f = (1 if b >= 0 else -1), e - 1
+    y = {"any": (b, f), "tie": (b, f), "cancel": (-a, e), "zero": (0, f),
+         "far": (b, e - 101 - abs(f))}[kind]
+    expected = mpf_add(from_man_exp(a, e), from_man_exp(*y), prec, "n")
+    assert from_man_exp(*jacobi._add((a, e), y, prec)) == expected
+    assert from_man_exp(*jacobi._add(y, (a, e), prec)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((20, 50, 80)), st.sampled_from(("any", "zero part", "far")),
+       st.lists(st.tuples(MANTISSAS, EXPONENTS), min_size=4, max_size=4),
+       st.integers(0, 3))
+@example(50, "zero part", [(3, 0), (5, 0), (7, 0), (3 ** 150, 0)], 0)
+@example(20, "any", [(3 ** 65, 0), (7 ** 36, -122), (5 ** 51, 0), (11 ** 34, 0)], 0)
+def test_mul_rounds_as_mpc_mul(digits, kind, parts, which):
+    # The parts are mpf values of at most prec bits, as mpmath stores them.
+    # "zero part" zeroes one, so two partial products are exactly 0 and the
+    # other two, of up to 2 prec bits, must still be rounded.  "far" moves
+    # one part at least prec + 5 bits down, so that two exact partial
+    # products lie past mpf_add's shortcut.  Where they still overlap, as in
+    # the second example, mpc_mul is not correctly rounded, and _mul must
+    # round as it does.
+    prec = _working_bits(digits)
+    raw = [from_man_exp(_fit(man, prec), exp) for man, exp in parts]
+    if kind == "zero part":
+        raw[which] = from_man_exp(0, 0)
+    elif kind == "far":
+        man, exp = jacobi._pair(raw[which])
+        raw[which] = from_man_exp(man, exp - prec - 5 - abs(exp) % prec)
+    z, w = (raw[0], raw[1]), (raw[2], raw[3])
+    product = jacobi._mul(tuple(map(jacobi._pair, z)), tuple(map(jacobi._pair, w)), prec)
+    assert tuple(from_man_exp(*part) for part in product) == mpc_mul(z, w, prec, "n")
 
 
 def test_jacobi_sum_values(ctx):
