@@ -228,7 +228,8 @@ def test_add_rounds_as_mpf_add(digits, kind, a, e, b, f):
     # Operands of at most prec bits, as the sweep's totals and terms are.
     # "tie" gives the first operand prec bits and puts the second on its
     # half unit; "cancel" makes the sum exactly 0; "far" puts the second
-    # operand more than 100 bits below, where mpf_add takes its shortcut.
+    # operand's exponent more than 100 below, where mpf_add takes its
+    # shortcut once the operand also lies more than prec + 4 bits below.
     prec = _working_bits(digits)
     a, b = _fit(a, prec), _fit(b, prec)
     if kind == "tie":
@@ -252,10 +253,10 @@ def test_mul_rounds_as_mpc_mul(digits, kind, parts, which):
     # The parts are mpf values of at most prec bits, as mpmath stores them.
     # "zero part" zeroes one, so two partial products are exactly 0 and the
     # other two, of up to 2 prec bits, must still be rounded.  "far" moves
-    # one part at least prec + 5 bits down, so that two exact partial
-    # products lie past mpf_add's shortcut.  Where they still overlap, as in
-    # the second example, mpc_mul is not correctly rounded, and _mul must
-    # round as it does.
+    # one part at least prec + 5 bits down, toward mpf_add's shortcut for
+    # the exact partial products.  Where the shortcut applies and the two
+    # products still overlap, as in the second example, mpc_mul is not
+    # correctly rounded, and _mul must round as it does.
     prec = _working_bits(digits)
     raw = [from_man_exp(_fit(man, prec), exp) for man, exp in parts]
     if kind == "zero part":
