@@ -14,9 +14,8 @@ character sums are returned as plain complex numbers.
 from mpmath import mp
 
 from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel,
-                          build_root_system, find_site, gauss_sum, hecke_value, jacobi_sum,
-                          psi_exponent, psi_order, recognize_root_of_unity,
-                          word_of_root_system)
+                          build_root_system, find_site, gauss_sum, hecke_value,
+                          recognize_root_of_unity, word_at_site, word_of_root_system)
 
 ctx = PrecisionContext(50)
 e6 = build_root_system(RootSystemLabel.parse("E6"))
@@ -37,11 +36,8 @@ with ctx.working():
     print("normalized word sums at the words of E6:")
     for i in range(1, 7):
         w = word_of_root_system(e6, i)
-        j = jacobi_sum(w, site, ctx)
-        psi = hecke_value(w, site, ctx)
-        m = psi_exponent(w, site)
+        j, psi, m, order = word_at_site(w, site, ctx)
         coeffs = recognize_root_of_unity(psi, m, 12, ctx)
-        order = psi_order(w, site, ctx)
         print(f"   f(E6,{i}): |J| = {mp.nstr(abs(j), 10)} (= 1/p), "
               f"psi = {mp.nstr(psi, 8)}")
         print(f"      root of unity zeta_24^{m} of order {order}; "

@@ -18,8 +18,7 @@ from mpmath import mp, mpf
 
 from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
-from .jacobi import (MAX_PRIME, PrimeSite, _root_order, _stickelberger_exponent, _weight,
-                     find_site, jacobi_sum, recognize_root_of_unity)
+from .jacobi import MAX_PRIME, PrimeSite, find_site, recognize_root_of_unity, word_at_site
 from .reports import decimal_string
 from .rootkit import RootSystemLabel, build_root_system
 from .selberg import (complex_parameter_grid, cross_validate, real_parameter_grid,
@@ -286,14 +285,10 @@ def _cmd_jacobi(args, ctx, tol):
     worst = mpf(0)
     for i in range(1, rs.rank + 1):
         w = word_of_root_system(rs, i)
-        k = _weight(w)
-        jval = jacobi_sum(w, site, ctx)
+        jval, psi, m, order = word_at_site(w, site, ctx)
         with ctx.working():
-            psi = mpf(site.p) ** (-k) * jval  # hecke_value's operations
             magnitude_residual = abs(abs(psi) - 1)
             worst = max(worst, magnitude_residual)
-        m = _stickelberger_exponent(w, site, k)
-        order = _root_order(psi, m, n, ctx)
         coeffs = recognize_root_of_unity(psi, m, n, ctx)
         entries.append({
             "N": n, "p": site.p, "word": w.to_json_dict(),

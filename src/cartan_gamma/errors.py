@@ -1,6 +1,8 @@
 """Exception hierarchy shared by every subsystem, and the argument checks
 that raise it."""
 
+from fractions import Fraction
+
 from mpmath import mp, mpf
 
 
@@ -52,6 +54,26 @@ def require_int(value, what: str, error: type = DomainError,
         raise error(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise error(f"{what} must be >= {minimum}, got {value}")
+
+
+def require_rational(value) -> Fraction:
+    """value as a Fraction; DomainError unless it is an int (a bool is not
+    one) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise DomainError(f"expected a rational (int or Fraction), got {value!r}")
+    return Fraction(value)
+
+
+def require_finite(value, what: str, convert=mpf):
+    """convert(value) at the current precision; DomainError unless it is a
+    finite number."""
+    try:
+        x = convert(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{what} must be a finite number, got {value!r}") from None
+    if not mp.isfinite(x):
+        raise DomainError(f"{what} must be a finite number, got the non-finite value {x}")
+    return x
 
 
 def require_tolerance(value):

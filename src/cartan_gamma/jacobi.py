@@ -34,7 +34,8 @@ from math import gcd, prod
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div
 
-from .errors import DomainError, NotInC, SearchExhausted, require_int, require_tolerance
+from .errors import (DomainError, NotInC, SearchExhausted, require_finite, require_int,
+                     require_tolerance)
 from .gammawords import GammaWord, classify
 from .specialfn import PrecisionContext
 
@@ -233,13 +234,26 @@ def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
         return total
 
 
+def word_at_site(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
+                 additive_scale: int = 1) -> tuple:
+    """(J, psi, m, order) of a member word from one classification and one
+    jacobi_sum: psi = p**(-k) J, m its psi_exponent, and order 2N / gcd(m, 2N),
+    or None when psi lies the context tolerance or farther from zeta_2N**m.
+    Raises NotInC for a non-member and DomainError for a foreign site."""
+    k = _weight(f)
+    j = jacobi_sum(f, site, ctx, additive_scale)
+    m = _stickelberger_exponent(f, site, k)
+    n2 = 2 * site.modulus
+    with ctx.working():
+        psi = mpf(site.p) ** (-k) * j
+        off = abs(psi - mp.expjpi(mpf(2 * m) / n2)) >= ctx.tolerance
+    return j, psi, m, None if off else n2 // gcd(m, n2)
+
+
 def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
                 additive_scale: int = 1):
-    """p**(-k) times the word's character-sum product; unit modulus for
-    member words.  Raises NotInC when the word fails membership."""
-    k = _weight(f)
-    with ctx.working():
-        return mpf(site.p) ** (-k) * jacobi_sum(f, site, ctx, additive_scale)
+    """word_at_site's psi = p**(-k) J, of unit modulus; NotInC for a non-member."""
+    return word_at_site(f, site, ctx, additive_scale)[1]
 
 
 def _weight(f: GammaWord) -> int:
@@ -306,20 +320,8 @@ def _stickelberger_table(site: PrimeSite) -> tuple[tuple, dict]:
 
 
 def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | None:
-    """Order of the normalized word sum as a 2N-th root of unity, or None
-    when it lies farther than the context tolerance from zeta_2N**m, m its
-    psi_exponent."""
-    return _root_order(hecke_value(f, site, ctx), psi_exponent(f, site), site.modulus, ctx)
-
-
-def _root_order(z, m: int, modulus: int, ctx: PrecisionContext) -> int | None:
-    """Order 2N / gcd(m, 2N) of zeta_2N**m when z lies within the context
-    tolerance of it, else None."""
-    n2 = 2 * modulus
-    with ctx.working():
-        if abs(z - mp.expjpi(mpf(2 * m) / n2)) >= ctx.tolerance:
-            return None
-    return n2 // gcd(m, n2)
+    """word_at_site's order of psi as a 2N-th root of unity, or None."""
+    return word_at_site(f, site, ctx)[3]
 
 
 def _euler_phi(n: int) -> int:
@@ -358,9 +360,7 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
         tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
         phi = _euler_phi(modulus)
         zetas = _zeta_powers(modulus, ctx.digits)[:phi]
-        z = mp.mpc(z)
-        if not mp.isfinite(z):
-            raise DomainError(f"cannot recognize the non-finite value {z}")
+        z = require_finite(z, "the value to recognize", mp.mpc)
         x = [w.real + mp.pi * w.imag for w in (z, *zetas)]
         if abs(z) < tol or not x[0]:
             # The zero element; pslq rejects a zero entry.
@@ -390,6 +390,9 @@ def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | Non
     """
     require_int(modulus, "modulus", minimum=1)
     require_int(m, "exponent")
+    ctx = ctx or PrecisionContext()
+    with ctx.working():
+        z = require_finite(z, "the value to recognize", mp.mpc)
     m %= 2 * modulus
     if m % 2 and modulus % 2 == 0:
         raise DomainError(f"zeta_{2 * modulus}**{m} is not in Q(zeta_{modulus})")
@@ -405,11 +408,10 @@ def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | Non
     coeffs = coeffs[:phi]
     if max(map(abs, coeffs)) > _ROOT_MAX_COEFF:
         return None
-    ctx = ctx or PrecisionContext()
     with ctx.working():
         zetas = _zeta_powers(modulus, ctx.digits)
         recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
-        if abs(mp.mpc(z) - recombined) < _ROOT_TOL:
+        if abs(z - recombined) < _ROOT_TOL:
             return tuple(coeffs)
         return None
 

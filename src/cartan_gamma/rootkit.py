@@ -66,6 +66,8 @@ class RootSystemLabel:
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemLabel":
+        if not isinstance(text, str):
+            raise InvalidRank(f"cannot parse root-system label {text!r}")
         text = text.strip()
         if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdecimal():
             raise InvalidRank(f"cannot parse root-system label {text!r}")

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, QuadratureNotConverged, require_int
-from .specialfn import PrecisionContext, _as_fraction
+from .errors import DomainError, QuadratureNotConverged, require_int, require_rational
+from .specialfn import PrecisionContext
 
 Rational = Fraction | int
 
@@ -46,7 +46,7 @@ class SelbergParams:
 
     def __post_init__(self) -> None:
         for x in (self.alpha, self.beta, self.rho):
-            _as_fraction(x)  # a float's binary value is not the rational meant
+            require_rational(x)  # a float's binary value is not the rational meant
         require_int(self.n, "dimension", minimum=1)
 
     def require_real_domain(self) -> None:

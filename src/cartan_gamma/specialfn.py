@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, PoleError, require_int
+from .errors import DomainError, PoleError, require_finite, require_int, require_rational
 from .reports import VerificationReport
 
 GUARD_DIGITS = 15
@@ -56,15 +56,9 @@ class PrecisionContext:
             return mpf(x)
 
 
-def _as_fraction(x: Rational) -> Fraction:
-    if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
-        raise DomainError(f"expected a rational (int or Fraction), got {x!r}")
-    return Fraction(x)
-
-
 def gamma(x: Rational, ctx: PrecisionContext):
     """Gamma(x) for rational x in (0, 2)."""
-    q = _as_fraction(x)
+    q = require_rational(x)
     if q.denominator == 1 and q <= 0:
         raise PoleError(f"gamma has a pole at {q}")
     if not 0 < q < 2:
@@ -78,7 +72,7 @@ def gamma_tilde(x: Rational, ctx: PrecisionContext):
 
     Satisfies gamma_tilde(x) * gamma_tilde(1-x) == 1.
     """
-    q = _as_fraction(x)
+    q = require_rational(x)
     if not 0 < q < 1:
         raise DomainError(f"argument must lie in (0, 1), got {q}")
     with ctx.working():
@@ -91,7 +85,7 @@ def s_factor(x: Rational, ctx: PrecisionContext):
 
     Symmetric under x -> 1-x, and Gamma(x)^2 = gamma_tilde(x) * s_factor(x).
     """
-    q = _as_fraction(x)
+    q = require_rational(x)
     if not 0 < q < 1:
         raise DomainError(f"argument must lie in (0, 1), got {q}")
     with ctx.working():
@@ -99,10 +93,13 @@ def s_factor(x: Rational, ctx: PrecisionContext):
 
 
 def pow_rat(base, exponent: Rational, ctx: PrecisionContext):
-    """Principal real power base**(p/q) for base > 0."""
-    e = _as_fraction(exponent)
+    """Principal real power base**(p/q) for a finite base > 0."""
+    e = require_rational(exponent)
     with ctx.working():
-        b = mpf(base) if not isinstance(base, (Fraction, int)) else ctx.to_mpf(base)
+        if isinstance(base, (Fraction, int)):
+            b = ctx.to_mpf(base)
+        else:
+            b = require_finite(base, "pow_rat base")
         if b <= 0:
             raise DomainError(f"pow_rat base must be positive, got {b}")
         return mp.exp(ctx.to_mpf(e) * mp.log(b))

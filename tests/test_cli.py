@@ -14,7 +14,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from cartan_gamma import cli, gammawords, jacobi
+from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel, build_root_system,
+                          cli, gammawords, jacobi, psi_order, word_of_root_system)
 from cartan_gamma.cli import VERIFY_CHOICES, default_battery, main
 from cartan_gamma.rootkit import MAX_RANK
 
@@ -255,7 +256,7 @@ def test_jacobi_calls_no_pslq(monkeypatch, capsys):
 
 def test_jacobi_classifies_and_sums_each_word_once(monkeypatch):
     # E6 has rank 6: one classify and one jacobi_sum per word, wherever the
-    # package binds them.
+    # package binds them, for the jacobi command and for psi_order.
     calls = dict.fromkeys(("classify", "jacobi_sum"), 0)
     for name in calls:
         original = getattr(jacobi, name)
@@ -268,6 +269,11 @@ def test_jacobi_classifies_and_sums_each_word_once(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     with redirect_stdout(io.StringIO()):
         assert main(["jacobi", "--type", "E6", "--prime", "13"]) == 0
+    assert calls == {"classify": 6, "jacobi_sum": 6}
+    calls.update(classify=0, jacobi_sum=0)
+    system, site = build_root_system(RootSystemLabel.parse("E6")), PrimeSite(12, 13)
+    for i in range(1, system.rank + 1):
+        assert psi_order(word_of_root_system(system, i), site, PrecisionContext(50)) is not None
     assert calls == {"classify": 6, "jacobi_sum": 6}
 
 

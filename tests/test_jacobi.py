@@ -13,7 +13,7 @@ from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, Prim
                           RootSystemLabel, SearchExhausted, build_root_system, find_site,
                           gauss_sum, hecke_value, jacobi_sum, psi_exponent, psi_order,
                           recognize_cyclotomic, recognize_root_of_unity, tilde,
-                          word_of_root_system)
+                          word_at_site, word_of_root_system)
 from cartan_gamma.cli import default_battery
 from conftest import rs
 
@@ -380,6 +380,10 @@ def test_psi_exponent_names_the_numeric_root_at_drawn_sites(label, bound):
                 assert abs(hecke_value(f, site, ctx) - mp.expjpi(mpf(m) / n)) < ctx.tolerance
             order = psi_order(f, site, ctx)
             assert order == 2 * n // gcd(m, 2 * n) == psi_order(f, site, coarse)
+            # One evaluation gives each of these, bit for bit.
+            j, psi, m_site, order_site = word_at_site(f, site, ctx)
+            assert (j._mpc_, psi._mpc_, m_site, order_site) == (
+                jacobi_sum(f, site, ctx)._mpc_, hecke_value(f, site, ctx)._mpc_, m, order)
 
 
 def test_psi_exponent_refuses_non_members_and_foreign_sites():
@@ -395,7 +399,7 @@ def test_psi_order_is_none_off_the_exponent(monkeypatch, ctx):
     site = find_site(12)
     f = word_of_root_system(rs("E6"), 1)
     m = psi_exponent(f, site)
-    monkeypatch.setattr(jacobi, "psi_exponent", lambda f, site: (m + 2) % 24)
+    monkeypatch.setattr(jacobi, "_stickelberger_exponent", lambda f, site, k: (m + 2) % 24)
     assert psi_order(f, site, ctx) is None
 
 
@@ -434,6 +438,12 @@ def test_recognize_root_of_unity_keeps_the_null_rules(ctx, monkeypatch):
             recognize_root_of_unity(zeta, 1, 12, ctx)
         with pytest.raises(DomainError, match="must be an integer"):
             recognize_root_of_unity(zeta, 2.0, 12, ctx)
+        # A target that is not a finite number is refused, not left unrecognized.
+        with pytest.raises(DomainError, match="must be a finite number"):
+            recognize_root_of_unity("abc", 2, 12, ctx)
+        for bad in (mp.nan, mp.inf, mp.mpc(1, mp.nan)):
+            with pytest.raises(DomainError, match="non-finite"):
+                recognize_root_of_unity(bad, 2, 12, ctx)
         # Each rule reads its constant: a looser tolerance accepts the near
         # value, and a smaller coordinate bound refuses the root itself.
         monkeypatch.setattr(jacobi, "_ROOT_TOL", mpf(10) ** -10)
@@ -470,6 +480,8 @@ def test_recognize_cyclotomic(ctx):
         for bad in (mp.nan, mp.inf, -mp.inf, mp.mpc(1, mp.nan), mp.mpc(mp.inf, 1)):
             with pytest.raises(DomainError, match="non-finite"):
                 recognize_cyclotomic(bad, 12, ctx=ctx)
+        with pytest.raises(DomainError, match="must be a finite number"):
+            recognize_cyclotomic("abc", 12, ctx=ctx)
 
 
 @pytest.mark.parametrize("modulus,max_coeff", [(12.0, 1000), (12, 1.5)],

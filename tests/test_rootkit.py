@@ -12,7 +12,7 @@ from conftest import rational_nullspace, rs
 
 
 @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "H4", "E", "8",
-                                 "A\u00b2", "E\u2078", ""])
+                                 "A\u00b2", "E\u2078", "", 5, None, b"E8"])
 def test_label_validation(bad):
     with pytest.raises(InvalidRank):
         RootSystemLabel.parse(bad)

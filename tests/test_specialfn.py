@@ -42,8 +42,14 @@ def test_gamma_domain(ctx):
         gamma_tilde(Q(3, 2), ctx)
     with pytest.raises(DomainError):
         s_factor(1, ctx)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="must be positive"):
         pow_rat(mpf(-2), Q(1, 2), ctx)
+    for bad in (mp.nan, mp.inf, -mp.inf):
+        with pytest.raises(DomainError, match="non-finite"):
+            pow_rat(bad, 1, ctx)
+    for bad in ("x", mp.mpc(1, 1), None):
+        with pytest.raises(DomainError, match="must be a finite number"):
+            pow_rat(bad, 1, ctx)
     with pytest.raises(DomainError):
         gamma(0.25, ctx)  # floats are not exact rationals
 
