@@ -14,13 +14,13 @@ from .jacobi import (PrimeSite, find_site, gauss_sum, hecke_value, jacobi_sum,
                      recognize_root_of_unity, word_at_site)
 from .reports import VerificationReport, decimal_string
 from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
-                      affine_cartan_matrix_dual, build_root_system,
-                      coroot_pairing, height, simple_coroot_pairing)
+                      build_root_system, coroot_pairing, height,
+                      simple_coroot_pairing)
 from .selberg import (SelbergParams, complex_parameter_grid, cross_validate,
                       real_parameter_grid, selberg_complex_closed,
                       selberg_complex_quadrature, selberg_real_closed,
                       selberg_real_quadrature)
-from .specialfn import (PrecisionContext, gamma, gamma_tilde, pow_rat, s_factor,
+from .specialfn import (PrecisionContext, gamma, gamma_tilde, pow_rat,
                         trig_identities_suite)
 from .spectra import (EigenResult, affine_gamma_vector, gamma_ratio_profile,
                       gamma_vector, lambda_min, mark_power_product,

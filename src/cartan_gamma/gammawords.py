@@ -17,10 +17,10 @@ fonctions L et periodes d'integrales", 1979).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Mapping
 
 from mpmath import mp
 
@@ -41,6 +41,10 @@ class GammaWord:
 
     def __post_init__(self) -> None:
         require_int(self.modulus, "modulus", minimum=2)
+        if not (isinstance(self.coeffs, tuple)
+                and all(isinstance(t, tuple) and len(t) == 2 for t in self.coeffs)):
+            raise DomainError(f"coefficients must be a tuple of (residue, exponent) "
+                              f"pairs, got {self.coeffs!r}")
         for j, c in self.coeffs:
             require_int(j, "residue")
             require_int(c, "exponent")
@@ -53,6 +57,8 @@ class GammaWord:
 
     @classmethod
     def from_coeffs(cls, modulus: int, coeffs: Mapping[int, int]) -> "GammaWord":
+        if not isinstance(coeffs, Mapping):
+            raise DomainError(f"coefficients must map residues to exponents, got {coeffs!r}")
         for j, c in coeffs.items():  # zero exponents too, before they are dropped
             require_int(j, "residue")
             require_int(c, "exponent")

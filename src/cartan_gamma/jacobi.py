@@ -42,11 +42,9 @@ from .specialfn import PrecisionContext
 # Largest prime a site may use, and find_site's default search cap.
 MAX_PRIME = 10_000_000
 
-# The jacobi command prints a word's cyclotomic coordinates as null when one
-# exceeds _ROOT_MAX_COEFF in size or their recombination lies _ROOT_TOL or
-# farther from the numeric psi: the answer recognize_cyclotomic gives with
-# max_coeff=4 and its default tol.
-_ROOT_MAX_COEFF = 4
+# The jacobi command prints a word's cyclotomic coordinates as null when
+# their recombination lies _ROOT_TOL or farther from the numeric psi, the
+# default tol of recognize_cyclotomic.
 _ROOT_TOL = mpf(10) ** -20
 
 
@@ -380,8 +378,8 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
 
 def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | None = None):
     """Integer coordinates of zeta_2N**m over the power basis of the N-th
-    cyclotomic integers, accepted as those of z under the jacobi command's
-    null rules (_ROOT_MAX_COEFF, _ROOT_TOL); otherwise None.
+    cyclotomic integers, accepted as those of z when they recombine closer
+    than _ROOT_TOL to it; otherwise None.
 
     zeta_2N**m is zeta_N**(m/2) for even m and -zeta_N**((m+N)/2) for odd
     m, which lies in Q(zeta_N) only for odd N; its coordinates are those of
@@ -406,8 +404,6 @@ def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | Non
         for i, c in enumerate(_cyclotomic_polynomial(modulus)):
             coeffs[top - phi + i] -= lead * c
     coeffs = coeffs[:phi]
-    if max(map(abs, coeffs)) > _ROOT_MAX_COEFF:
-        return None
     with ctx.working():
         zetas = _zeta_powers(modulus, ctx.digits)
         recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))

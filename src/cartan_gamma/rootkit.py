@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import InvalidRank, NotARoot, require_int
+from .errors import DomainError, InvalidRank, NotARoot, require_int
 
 Root = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -54,7 +54,7 @@ class RootSystemLabel:
     rank: int
 
     def __post_init__(self) -> None:
-        if self.family not in _RANK_RANGE:
+        if not isinstance(self.family, str) or self.family not in _RANK_RANGE:
             raise InvalidRank(f"unknown family {self.family!r}")
         require_int(self.rank, "rank", InvalidRank)
         lo, hi = _RANK_RANGE[self.family]
@@ -146,6 +146,9 @@ class RootSystem:
 
     def inner(self, v: Sequence[int], w: Sequence[int]) -> Q:
         """Exact invariant product (B v).w / max(lengths) of coefficient vectors."""
+        if not len(v) == len(w) == self.rank:
+            raise DomainError(f"{self.label} needs coefficient vectors of length "
+                              f"{self.rank}, got {tuple(v)} and {tuple(w)}")
         b_v = _simple_pairings(self.cartan, v)
         return Q(sum(e * b * x for e, b, x in zip(self.lengths, b_v, w)), max(self.lengths))
 
@@ -264,16 +267,10 @@ def affine_cartan_matrix(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     """(r+1)x(r+1) generalized Cartan matrix of the untwisted affine extension.
 
     Index 0 corresponds to the negated highest root.  Rows are oriented so
-    that the marks vector spans the kernel; the transpose (the dual affine
-    matrix, see :func:`affine_cartan_matrix_dual`) has the comarks vector in
-    its kernel.
+    that the marks vector spans the kernel; the comarks vector spans the
+    kernel of the transpose.
     """
     basis = ([tuple(-c for c in rs.highest_root)]
              + [rs.simple_root(i) for i in range(1, rs.rank + 1)])
     pairings = [_signed_row(rs, u) for u in basis]
     return tuple(tuple(sum(p * c for p, c in zip(row, v)) for v in basis) for row in pairings)
-
-
-def affine_cartan_matrix_dual(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    """Transpose of the affine matrix; its kernel contains the comarks."""
-    return tuple(zip(*affine_cartan_matrix(rs)))

@@ -1,6 +1,6 @@
 """Arbitrary-precision numeric engine: Gamma, the ratio Gamma(x)/Gamma(1-x),
-the sine factor pi/sin(pi x), rational powers, and a suite of exact
-trigonometric identities used as evaluator oracles.
+rational powers, and a suite of exact trigonometric identities used as
+evaluator oracles.
 
 All functions take an explicit :class:`PrecisionContext`.  Internally they
 run mpmath at the requested precision plus a fixed number of guard digits,
@@ -78,18 +78,6 @@ def gamma_tilde(x: Rational, ctx: PrecisionContext):
     with ctx.working():
         v = ctx.to_mpf(q)
         return mp.gamma(v) / mp.gamma(1 - v)
-
-
-def s_factor(x: Rational, ctx: PrecisionContext):
-    """pi / sin(pi x) for rational x in (0, 1).
-
-    Symmetric under x -> 1-x, and Gamma(x)^2 = gamma_tilde(x) * s_factor(x).
-    """
-    q = require_rational(x)
-    if not 0 < q < 1:
-        raise DomainError(f"argument must lie in (0, 1), got {q}")
-    with ctx.working():
-        return mp.pi / mp.sinpi(ctx.to_mpf(q))
 
 
 def pow_rat(base, exponent: Rational, ctx: PrecisionContext):

@@ -12,6 +12,7 @@ comarks rescaled by the mark-power product k(R)**(-1/h).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -53,9 +54,9 @@ def _positive_inverse(cartan) -> list[list[Q]]:
     [d I | d A^-1], d = +-det A.  Input that is not a nonempty square int
     matrix, a singular A, or a non-positive inverse raises DomainError.
     """
-    n = len(cartan)
-    if not n or not all(len(row) == n and all(isinstance(a, int) for a in row)
-                        for row in cartan):
+    n = len(cartan) if isinstance(cartan, Sequence) else 0
+    if not n or not all(isinstance(row, Sequence) and len(row) == n
+                        and all(isinstance(a, int) for a in row) for row in cartan):
         raise DomainError(f"{cartan} is not a nonempty square integer matrix")
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
     d = 1

@@ -61,6 +61,13 @@ def test_word_construction_validation():
         GammaWord(6, ((1, 0),))
     with pytest.raises(DomainError):
         GammaWord(6, ((2, 1), (1, 1)))
+    # Coefficients that are not (residue, exponent) pairs, or not a mapping.
+    with pytest.raises(DomainError, match="pairs"):
+        GammaWord(12, 5)
+    with pytest.raises(DomainError, match="pairs"):
+        GammaWord(12, ((1, 2, 3),))
+    with pytest.raises(DomainError, match="map residues"):
+        GammaWord.from_coeffs(12, [(1, 2)])
     assert GammaWord.from_coeffs(6, {1: 1, 2: 0}).coeffs == ((1, 1),)
 
 

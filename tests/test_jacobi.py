@@ -444,12 +444,13 @@ def test_recognize_root_of_unity_keeps_the_null_rules(ctx, monkeypatch):
         for bad in (mp.nan, mp.inf, mp.mpc(1, mp.nan)):
             with pytest.raises(DomainError, match="non-finite"):
                 recognize_root_of_unity(bad, 2, 12, ctx)
-        # Each rule reads its constant: a looser tolerance accepts the near
-        # value, and a smaller coordinate bound refuses the root itself.
+        # No bound on the coordinates: zeta_935**912 reduces mod Phi_935 to
+        # exact coordinates that include a 5.
+        coeffs = recognize_root_of_unity(mp.expjpi(mpf(1824) / 935), 1824, 935, ctx)
+        assert max(map(abs, coeffs)) == 5
+        # The rule reads its constant: a looser tolerance accepts the near value.
         monkeypatch.setattr(jacobi, "_ROOT_TOL", mpf(10) ** -10)
         assert recognize_root_of_unity(near, 2, 12, ctx) == (0, 1, 0, 0)
-        monkeypatch.setattr(jacobi, "_ROOT_MAX_COEFF", 0)
-        assert recognize_root_of_unity(zeta, 2, 12, ctx) is None
 
 
 def test_recognize_cyclotomic(ctx):

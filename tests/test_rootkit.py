@@ -3,19 +3,21 @@ from fractions import Fraction as Q
 
 import pytest
 
-from cartan_gamma import (InvalidRank, NotARoot, RootSystemLabel,
-                          affine_cartan_matrix, affine_cartan_matrix_dual,
-                          build_root_system, coroot_pairing, height,
-                          pairing_height_sum, simple_coroot_pairing,
-                          word_of_root_system)
+from cartan_gamma import (DomainError, InvalidRank, NotARoot, RootSystemLabel,
+                          affine_cartan_matrix, build_root_system,
+                          coroot_pairing, height, pairing_height_sum,
+                          simple_coroot_pairing, word_of_root_system)
 from conftest import rational_nullspace, rs
 
 
 @pytest.mark.parametrize("bad", ["A0", "B1", "C1", "D2", "E5", "E9", "F3", "F5", "G3", "H4", "E", "8",
-                                 "A\u00b2", "E\u2078", "", 5, None, b"E8"])
+                                 "A\u00b2", "E\u2078", "", 5, None, b"E8",
+                                 pytest.param((["A"], 6), id="list-family")])
 def test_label_validation(bad):
+    # A tuple row is a (family, rank) pair for the constructor; the rest are
+    # texts to parse.
     with pytest.raises(InvalidRank):
-        RootSystemLabel.parse(bad)
+        RootSystemLabel(*bad) if isinstance(bad, tuple) else RootSystemLabel.parse(bad)
 
 
 @pytest.mark.parametrize("rank", ["3", 1.0, 3.5, True, None], ids=["str", "float-one",
@@ -98,6 +100,16 @@ def test_long_roots_have_norm_two(battery):
         assert max(norms) == 2
         assert len(norms) <= 2
         assert system.norm(system.highest_root) == 2
+
+
+def test_inner_refuses_vectors_of_the_wrong_length():
+    # zip would cut (1,) against the first simple root of E6 and return 2.
+    e6 = rs("E6")
+    for v, w in [((1,), (1,)), ((1,) * 7, (1,) * 7), (e6.simple_root(1), (1,))]:
+        with pytest.raises(DomainError, match="length 6"):
+            e6.inner(v, w)
+    with pytest.raises(DomainError, match="length 6"):
+        e6.norm((1,))
 
 
 def test_coroot_pairing_examples():
@@ -204,20 +216,21 @@ def test_affine_kernel_is_marks(battery):
     for label in battery:
         system = build_root_system(label)
         affine = affine_cartan_matrix(system)
-        dual = affine_cartan_matrix_dual(system)
         assert _matvec(affine, system.marks) == [0] * (system.rank + 1)
-        assert _matvec(dual, system.comarks) == [0] * (system.rank + 1)
-        assert dual == tuple(zip(*affine))
+        assert _matvec(tuple(zip(*affine)), system.comarks) == [0] * (system.rank + 1)
 
 
 def test_affine_kernel_is_one_dimensional():
     for text in ("A3", "B4", "C4", "D5", "E6", "F4", "G2"):
         system = rs(text)
-        basis = rational_nullspace(affine_cartan_matrix(system))
-        assert len(basis) == 1
-        vec = basis[0]
-        scale = system.marks[0] / vec[0]
-        assert tuple(scale * x for x in vec) == tuple(map(Q, system.marks))
+        affine = affine_cartan_matrix(system)
+        # The marks span the kernel, and the comarks that of the transpose.
+        for matrix, vector in ((affine, system.marks), (tuple(zip(*affine)), system.comarks)):
+            basis = rational_nullspace(matrix)
+            assert len(basis) == 1
+            vec = basis[0]
+            scale = vector[0] / vec[0]
+            assert tuple(scale * x for x in vec) == tuple(map(Q, vector))
 
 
 # Independent construction oracle: explicit coordinate models of the

@@ -96,8 +96,10 @@ def test_power_iteration_takes_few_steps(ctx, battery):
     ((2, -1), (-1,)),                # jagged
     ((2, -1),),                      # not square
     ((2.0, -1.0), (-1.0, 2.0)),      # not integers
+    5,                               # not a matrix
+    [1, 2],                          # rows that are not sequences
 ], ids=["affine-A2", "zero", "reducible", "indefinite", "empty", "jagged", "non-square",
-        "float"])
+        "float", "int", "flat-list"])
 def test_power_iteration_rejects_non_finite_types(ctx, cartan):
     with pytest.raises(DomainError):
         pf_power_iteration(cartan, ctx)
