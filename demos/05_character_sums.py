@@ -4,8 +4,9 @@ At a prime p = 1 (mod h), each exponent word turns into a product of
 character sums.  For the words coming from root systems the normalized
 value has unit modulus, does not depend on the additive character, and is
 an actual root of unity zeta_2h^m in the h-th cyclotomic field: m comes
-from integers mod p by Stickelberger's congruence, and the numeric value
-confirms it.
+from integers mod p by Stickelberger's congruence, its coordinates over
+the power basis are exact integers, and the numeric value confirms both
+to every digit of the working precision.
 
 A site is PrimeSite(N, p); its primitive root is derived from p.  The
 character sums are returned as plain complex numbers.
@@ -15,7 +16,7 @@ from mpmath import mp
 
 from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel,
                           build_root_system, find_site, gauss_sum, hecke_value,
-                          recognize_root_of_unity, word_at_site, word_of_root_system)
+                          root_of_unity_coordinates, word_at_site, word_of_root_system)
 
 ctx = PrecisionContext(50)
 e6 = build_root_system(RootSystemLabel.parse("E6"))
@@ -37,7 +38,7 @@ with ctx.working():
     for i in range(1, 7):
         w = word_of_root_system(e6, i)
         j, psi, m, order = word_at_site(w, site, ctx)
-        coeffs = recognize_root_of_unity(psi, m, 12, ctx)
+        coeffs = root_of_unity_coordinates(m, 12)
         print(f"   f(E6,{i}): |J| = {mp.nstr(abs(j), 10)} (= 1/p), "
               f"psi = {mp.nstr(psi, 8)}")
         print(f"      root of unity zeta_24^{m} of order {order}; "

@@ -11,7 +11,7 @@ from .gammawords import (GammaWord, MembershipVerdict, classify, evaluate,
                          word_of_root_system)
 from .jacobi import (PrimeSite, find_site, gauss_sum, hecke_value, jacobi_sum,
                      psi_exponent, psi_order, recognize_cyclotomic,
-                     recognize_root_of_unity, word_at_site)
+                     root_of_unity_coordinates, word_at_site)
 from .reports import VerificationReport, decimal_string
 from .rootkit import (RootSystem, RootSystemLabel, affine_cartan_matrix,
                       build_root_system, coroot_pairing, height,

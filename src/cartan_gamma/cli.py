@@ -18,7 +18,7 @@ from mpmath import mp, mpf
 
 from .errors import CartanGammaError, DomainError
 from .gammawords import classify, tilde, word_of_root_system
-from .jacobi import MAX_PRIME, PrimeSite, find_site, recognize_root_of_unity, word_at_site
+from .jacobi import MAX_PRIME, PrimeSite, find_site, root_of_unity_coordinates, word_at_site
 from .reports import decimal_string
 from .rootkit import RootSystemLabel, build_root_system
 from .selberg import (complex_parameter_grid, cross_validate, real_parameter_grid,
@@ -289,22 +289,22 @@ def _cmd_jacobi(args, ctx, tol):
         with ctx.working():
             magnitude_residual = abs(abs(psi) - 1)
             worst = max(worst, magnitude_residual)
-        coeffs = recognize_root_of_unity(psi, m, n, ctx)
+        coords = None if order is None else list(root_of_unity_coordinates(m, n))
         entries.append({
             "N": n, "p": site.p, "word": w.to_json_dict(),
             "J": _complex_pair(jval, ctx),
             "psi": _complex_pair(psi, ctx),
             "psi_order": order,
-            "cyclotomic": list(coeffs) if coeffs is not None else None,
+            "cyclotomic": coords,
             "magnitude_residual": _dec(magnitude_residual, ctx),
         })
         lines.append(f"  f({rs.label},{i}): |psi - unit circle| = "
                      f"{decimal_string(magnitude_residual, 6)}, order = {order}, "
-                     f"coordinates = {list(coeffs) if coeffs else None}")
+                     f"coordinates = {coords}")
         rows.append({"type": str(rs.label), "index": i, "N": n, "p": site.p,
                      "psi_order": order,
                      "magnitude_residual": decimal_string(magnitude_residual, 30)})
-    ok = worst < tol
+    ok = worst < tol and all(e["psi_order"] is not None for e in entries)
     lines.append(f"{'PASS' if ok else 'FAIL'}: worst unit-modulus residual "
                  f"{decimal_string(worst, 6)} (tol {decimal_string(tol, 6)})")
     payload = {"type": str(rs.label), "entries": entries, "pass": bool(ok)}

@@ -46,6 +46,14 @@ class QuadratureNotConverged(CartanGammaError):
     """Successive quadrature refinements disagree beyond tolerance."""
 
 
+def show_int(n: int) -> str:
+    """n in decimal, or its sign and bit length beyond Python's int-to-str limit."""
+    try:
+        return str(n)
+    except ValueError:
+        return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
+
+
 def require_int(value, what: str, error: type = DomainError,
                 minimum: int | None = None) -> None:
     """Raise ``error`` unless value is an int (a bool is not one) of at
@@ -53,7 +61,7 @@ def require_int(value, what: str, error: type = DomainError,
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{what} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise error(f"{what} must be >= {minimum}, got {value}")
+        raise error(f"{what} must be >= {minimum}, got {show_int(value)}")
 
 
 def require_rational(value) -> Fraction:

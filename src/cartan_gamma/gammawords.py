@@ -24,7 +24,7 @@ from math import gcd
 
 from mpmath import mp
 
-from .errors import DomainError, NotAUnit, require_int
+from .errors import DomainError, NotAUnit, require_int, show_int
 from .rootkit import RootSystem
 from .specialfn import PrecisionContext
 
@@ -49,7 +49,7 @@ class GammaWord:
             require_int(j, "residue")
             require_int(c, "exponent")
             if not 0 < j < self.modulus:
-                raise DomainError(f"residue {j} outside 1..{self.modulus - 1}")
+                raise DomainError(f"residue {show_int(j)} outside 1..{show_int(self.modulus - 1)}")
             if c == 0:
                 raise DomainError("zero coefficients must be dropped")
         if [j for j, _ in self.coeffs] != sorted({j for j, _ in self.coeffs}):
@@ -138,7 +138,7 @@ def u_act(u: int, f: GammaWord) -> GammaWord:
     require_int(u, "unit")
     n = f.modulus
     if gcd(u, n) != 1:
-        raise NotAUnit(f"{u} is not a unit mod {n}")
+        raise NotAUnit(f"{show_int(u)} is not a unit mod {show_int(n)}")
     inverse = pow(u, -1, n)
     return GammaWord.from_coeffs(n, {inverse * j % n: c for j, c in f.coeffs})
 

@@ -12,9 +12,9 @@ For a member word the normalized sum psi is a root of unity zeta_2N**m,
 and :func:`psi_exponent` finds m from integers mod p alone, by
 Stickelberger's congruence (Washington, Introduction to Cyclotomic
 Fields, 6.2; Gross and Koblitz, Ann. of Math. 109, 1979).  Its order and
-its integer coordinates over the power basis (zeta_N**m reduced mod the
-cyclotomic polynomial) follow from m; the numeric psi is kept as the
-check that the word sum really is that root.
+its exact integer coordinates over the power basis follow from m, and
+:func:`word_at_site` checks the numeric psi against those coordinates to
+every digit of the context, which confirms both m and the reduction.
 
 Other values in the ring of integers of the N-th cyclotomic field are
 recognized by one PSLQ integer-relation search over the real numbers
@@ -35,23 +35,18 @@ from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div
 
 from .errors import (DomainError, NotInC, SearchExhausted, require_finite, require_int,
-                     require_tolerance)
+                     require_tolerance, show_int)
 from .gammawords import GammaWord, classify
 from .specialfn import PrecisionContext
 
 # Largest prime a site may use, and find_site's default search cap.
 MAX_PRIME = 10_000_000
 
-# The jacobi command prints a word's cyclotomic coordinates as null when
-# their recombination lies _ROOT_TOL or farther from the numeric psi, the
-# default tol of recognize_cyclotomic.
-_ROOT_TOL = mpf(10) ** -20
-
 
 def _is_prime(n: int) -> bool:
     """Trial division; DomainError above MAX_PRIME, where it could stall."""
     if n > MAX_PRIME:
-        raise DomainError(f"{n} exceeds the largest supported prime {MAX_PRIME}")
+        raise DomainError(f"{show_int(n)} exceeds the largest supported prime {MAX_PRIME}")
     return _prime_factors(n) == [n]
 
 
@@ -92,7 +87,7 @@ class PrimeSite:
         if not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
         if (self.p - 1) % self.modulus != 0:
-            raise DomainError(f"{self.p} is not 1 mod {self.modulus}")
+            raise DomainError(f"{self.p} is not 1 mod {show_int(self.modulus)}")
 
     @property
     def generator(self) -> int:
@@ -109,7 +104,8 @@ def find_site(modulus: int, p_min: int = 2, cap: int = MAX_PRIME) -> PrimeSite:
     for p in range(start + (1 - start) % modulus, cap + 1, modulus):
         if _is_prime(p):
             return PrimeSite(modulus, p)
-    raise SearchExhausted(f"no prime = 1 mod {modulus} in [{p_min}, {cap}]")
+    raise SearchExhausted(f"no prime = 1 mod {show_int(modulus)} in "
+                          f"[{show_int(p_min)}, {show_int(cap)}]")
 
 
 def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
@@ -224,7 +220,7 @@ def jacobi_sum(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
                additive_scale: int = 1):
     """Product over the word's support of gauss sums raised to the exponents."""
     if f.modulus != site.modulus:
-        raise DomainError(f"word modulus {f.modulus} != site modulus {site.modulus}")
+        raise DomainError(f"word modulus {show_int(f.modulus)} != site modulus {site.modulus}")
     with ctx.working():
         total = mp.mpc(1)
         for j, c in f.coeffs:
@@ -236,16 +232,19 @@ def word_at_site(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
                  additive_scale: int = 1) -> tuple:
     """(J, psi, m, order) of a member word from one classification and one
     jacobi_sum: psi = p**(-k) J, m its psi_exponent, and order 2N / gcd(m, 2N),
-    or None when psi lies the context tolerance or farther from zeta_2N**m.
-    Raises NotInC for a non-member and DomainError for a foreign site."""
+    or None when psi lies 10**(-digits) or farther from zeta_2N**m, recombined
+    from its root_of_unity_coordinates.  Raises NotInC for a non-member and
+    DomainError for a foreign site."""
     k = _weight(f)
     j = jacobi_sum(f, site, ctx, additive_scale)
     m = _stickelberger_exponent(f, site, k)
-    n2 = 2 * site.modulus
+    n = site.modulus
+    coeffs = root_of_unity_coordinates(m, n)
     with ctx.working():
         psi = mpf(site.p) ** (-k) * j
-        off = abs(psi - mp.expjpi(mpf(2 * m) / n2)) >= ctx.tolerance
-    return j, psi, m, None if off else n2 // gcd(m, n2)
+        root = sum(c * z for c, z in zip(coeffs, _zeta_powers(n, ctx.digits)))
+        off = abs(psi - root) >= mpf(10) ** -ctx.digits
+    return j, psi, m, None if off else 2 * n // gcd(m, 2 * n)
 
 
 def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
@@ -289,7 +288,7 @@ def psi_exponent(f: GammaWord, site: PrimeSite) -> int:
 def _stickelberger_exponent(f: GammaWord, site: PrimeSite, k: int) -> int:
     """psi_exponent of a member word already classified, of weight k."""
     if f.modulus != site.modulus:
-        raise DomainError(f"word modulus {f.modulus} != site modulus {site.modulus}")
+        raise DomainError(f"word modulus {show_int(f.modulus)} != site modulus {site.modulus}")
     p = site.p
     factorials, exponents = _stickelberger_table(site)
     residue = p - 1 if k % 2 else 1
@@ -376,21 +375,14 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
         return None
 
 
-def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | None = None):
-    """Integer coordinates of zeta_2N**m over the power basis of the N-th
-    cyclotomic integers, accepted as those of z when they recombine closer
-    than _ROOT_TOL to it; otherwise None.
-
-    zeta_2N**m is zeta_N**(m/2) for even m and -zeta_N**((m+N)/2) for odd
-    m, which lies in Q(zeta_N) only for odd N; its coordinates are those of
-    +-x**e, for that power e, reduced mod the cyclotomic polynomial Phi_N in
-    integers.
-    """
+def root_of_unity_coordinates(m: int, modulus: int) -> tuple[int, ...]:
+    """Exact integer coordinates of zeta_2N**m over the power basis of the
+    N-th cyclotomic integers: zeta_2N**m is zeta_N**(m/2) for even m and
+    -zeta_N**((m+N)/2) for odd m, which lies in Q(zeta_N) only for odd N
+    (DomainError otherwise), so they are those of +-x**e, for that power e,
+    reduced mod the cyclotomic polynomial Phi_N in integers."""
     require_int(modulus, "modulus", minimum=1)
     require_int(m, "exponent")
-    ctx = ctx or PrecisionContext()
-    with ctx.working():
-        z = require_finite(z, "the value to recognize", mp.mpc)
     m %= 2 * modulus
     if m % 2 and modulus % 2 == 0:
         raise DomainError(f"zeta_{2 * modulus}**{m} is not in Q(zeta_{modulus})")
@@ -403,13 +395,7 @@ def recognize_root_of_unity(z, m: int, modulus: int, ctx: PrecisionContext | Non
         lead = coeffs[top]
         for i, c in enumerate(_cyclotomic_polynomial(modulus)):
             coeffs[top - phi + i] -= lead * c
-    coeffs = coeffs[:phi]
-    with ctx.working():
-        zetas = _zeta_powers(modulus, ctx.digits)
-        recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
-        if abs(z - recombined) < _ROOT_TOL:
-            return tuple(coeffs)
-        return None
+    return tuple(coeffs[:phi])
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .errors import DomainError, InvalidRank, NotARoot, require_int
+from .errors import DomainError, InvalidRank, NotARoot, require_int, show_int
 
 Root = tuple[int, ...]
 IntMatrix = tuple[tuple[int, ...], ...]
@@ -62,7 +62,7 @@ class RootSystemLabel:
             # Below its range a classical family names only its lower bound:
             # A0 gives "rank must be >= 1".
             bound = f">= {lo}" if hi == MAX_RANK and self.rank < lo else f"in {lo}..{hi}"
-            raise InvalidRank(f"{self.family}{self.rank}: rank must be {bound}")
+            raise InvalidRank(f"{self.family}{show_int(self.rank)}: rank must be {bound}")
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemLabel":
@@ -71,7 +71,11 @@ class RootSystemLabel:
         text = text.strip()
         if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdecimal():
             raise InvalidRank(f"cannot parse root-system label {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        family, digits = text[0].upper(), text[1:].lstrip("0") or "0"
+        if len(digits) > len(str(MAX_RANK)):  # above every range, maybe beyond int()
+            lo, hi = _RANK_RANGE[family]
+            raise InvalidRank(f"{family}{digits}: rank must be in {lo}..{hi}")
+        return cls(family, int(digits))
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -163,7 +167,7 @@ class RootSystem:
     def _check_index(self, i: int) -> None:
         require_int(i, "simple-root index", NotARoot)
         if not 1 <= i <= self.rank:
-            raise NotARoot(f"simple-root index {i} out of range 1..{self.rank}")
+            raise NotARoot(f"simple-root index {show_int(i)} out of range 1..{self.rank}")
 
 
 def _simple_pairings(cartan: IntMatrix, alpha: Sequence[int]) -> list[int]:

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, PoleError, require_finite, require_int, require_rational
+from .errors import DomainError, PoleError, require_finite, require_int, require_rational, show_int
 from .reports import VerificationReport
 
 GUARD_DIGITS = 15
@@ -37,7 +37,7 @@ class PrecisionContext:
         require_int(self.digits, "precision")
         if not 20 <= self.digits <= MAX_DIGITS:
             raise DomainError(f"precision must be 20 to {MAX_DIGITS} digits, "
-                              f"got {self.digits}")
+                              f"got {show_int(self.digits)}")
 
     @property
     def tolerance(self):

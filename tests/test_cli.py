@@ -172,8 +172,9 @@ ROOTS = ["roots", "--type", "A2"]
     (["jacobi", "--type", "E6", "--prime", "2"], None),
     (["jacobi", "--type", "E6", "--prime", "1000000000000000000000177"], None),
     (["roots", "--type", "A\u00b2"], None),
+    (["roots", "--type", "A" + "9" * 4400], None),
 ], ids=["tol", "tol-inf", "tol-nan", "tol-negative", "digits-env", "out-dir",
-        "grid-negative", "prime-two", "prime-huge", "label-superscript"])
+        "grid-negative", "prime-two", "prime-huge", "label-superscript", "rank-4400-digits"])
 def test_malformed_input_exits_2(capsys, monkeypatch, argv, env):
     if env is not None:
         monkeypatch.setenv("CARTAN_GAMMA_DIGITS", env)
@@ -252,6 +253,18 @@ def test_jacobi_calls_no_pslq(monkeypatch, capsys):
     monkeypatch.setattr(mp, "pslq", refuse)
     assert main(["jacobi", "--type", "E6", "--prime", "13"]) == 0
     assert capsys.readouterr().out.splitlines()[-1].startswith("PASS: ")
+
+
+def test_jacobi_fails_when_psi_is_not_the_named_root(monkeypatch, capsys):
+    # An exponent off by two names the wrong root for every word: no word
+    # gets an order or coordinates, and the verdict is FAIL.
+    exponent = jacobi._stickelberger_exponent
+    monkeypatch.setattr(jacobi, "_stickelberger_exponent",
+                        lambda f, site, k: (exponent(f, site, k) + 2) % (2 * site.modulus))
+    assert main(["jacobi", "--type", "E6", "--prime", "13"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.endswith("order = None, coordinates = None") for line in lines[1:-1])
+    assert lines[-1].startswith("FAIL: ")
 
 
 def test_jacobi_classifies_and_sums_each_word_once(monkeypatch):

@@ -10,11 +10,12 @@ from mpmath.libmp import from_man_exp, mpc_mul, mpf_add
 
 from cartan_gamma import jacobi
 from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
-                          RootSystemLabel, SearchExhausted, build_root_system, find_site,
-                          gauss_sum, hecke_value, jacobi_sum, psi_exponent, psi_order,
-                          recognize_cyclotomic, recognize_root_of_unity, tilde,
-                          word_at_site, word_of_root_system)
+                          RootSystemLabel, SearchExhausted, build_root_system, classify,
+                          find_site, gauss_sum, hecke_value, jacobi_sum, psi_exponent,
+                          psi_order, recognize_cyclotomic, root_of_unity_coordinates,
+                          tilde, word_at_site, word_of_root_system)
 from cartan_gamma.cli import default_battery
+from cartan_gamma.rootkit import MAX_RANK
 from conftest import rs
 
 
@@ -403,54 +404,58 @@ def test_psi_order_is_none_off_the_exponent(monkeypatch, ctx):
     assert psi_order(f, site, ctx) is None
 
 
+# Every modulus the jacobi command can reach: the Coxeter numbers of the
+# labels up to MAX_RANK, A (r + 1), B and C (2r), D (2r - 2), E6, E7 and E8
+# (12, 18, 30), F4 (12) and G2 (6); 75 moduli from 2 to 100.
+CLI_MODULI = sorted({*range(2, MAX_RANK + 2), *range(4, 2 * MAX_RANK + 1, 2), 12, 18, 30})
+
+
 def test_root_of_unity_coordinates_match_pslq():
-    # Every root of unity zeta_2N**m of Q(zeta_N), N <= 40: the integer
-    # reduction mod Phi_N recombines to it, and at Coxeter numbers of the
-    # battery it is what recognize_cyclotomic returns, None included: odd N
-    # with odd m (3, 7), E6 and F4 (12), the largest phi, 12 (A12 at 13), E7
-    # (18) and E8 (30).  PSLQ over all battery moduli takes about 2 s, and
-    # at some larger moduli minutes each (N = 31: 133 s).
+    # Every root of unity zeta_2N**m of Q(zeta_N) at those moduli, 3,900
+    # pairs: the exact coordinates recombine to it, and at Coxeter numbers
+    # of the battery they are what recognize_cyclotomic returns: odd N with
+    # odd m (3, 7), E6 and F4 (12), the largest phi, 12 (A12 at 13), E7 (18)
+    # and E8 (30).  PSLQ over all battery moduli takes about 2 s, and at some
+    # larger moduli minutes each (N = 31: 133 s).
+    assert len(CLI_MODULI) == 75 and CLI_MODULI[-1] == 100
     ctx = PrecisionContext(50)
     with ctx.working():
-        for n in range(2, 41):
+        for n in CLI_MODULI:
             zetas = [mp.expjpi(mpf(2 * j) / n) for j in range(n)]
             for m in range(0, 2 * n, 2 - n % 2):
                 z = mp.expjpi(mpf(m) / n)
-                coords = recognize_root_of_unity(z, m, n, ctx)
-                assert coords is not None
+                coords = root_of_unity_coordinates(m, n)
                 assert abs(sum(c * w for c, w in zip(coords, zetas)) - z) < mpf(10) ** -45
                 if n in (3, 7, 12, 13, 18, 30):
                     assert coords == recognize_cyclotomic(z, n, max_coeff=4, ctx=ctx)
 
 
-def test_recognize_root_of_unity_keeps_the_null_rules(ctx, monkeypatch):
+def test_root_of_unity_coordinates_are_exact_reductions():
+    # zeta_12 = zeta_24**2 over (1, zeta_12, zeta_12**2, zeta_12**3).
+    assert root_of_unity_coordinates(2, 12) == (0, 1, 0, 0)
+    assert root_of_unity_coordinates(2 + 24, 12) == (0, 1, 0, 0)
+    # Odd m for odd N: zeta_6**3 = -1 over (1, zeta_3), zeta_2 = -1 over (1,).
+    assert root_of_unity_coordinates(3, 3) == (-1, 0)
+    assert root_of_unity_coordinates(1, 1) == (-1,)
+    with pytest.raises(DomainError, match="not in"):
+        root_of_unity_coordinates(1, 12)
+    with pytest.raises(DomainError, match="must be an integer"):
+        root_of_unity_coordinates(2.0, 12)
+    # No bound on the coordinates: zeta_935**912 reduces mod Phi_935 to
+    # exact coordinates that include a 5.
+    assert max(map(abs, root_of_unity_coordinates(1824, 935))) == 5
+
+
+def test_psi_order_needs_every_digit_of_the_root(monkeypatch):
+    # The order is None when psi lies 10**(-digits) or farther from the root
+    # its exponent names, also when it lies within the looser 10**(10 - digits).
+    site, ctx = find_site(12), PrecisionContext(20)
+    f = word_of_root_system(rs("E6"), 1)
+    m = psi_exponent(f, site)
     with ctx.working():
-        zeta = mp.expjpi(mpf(1) / 6)  # zeta_12 = zeta_24**2
-        assert recognize_root_of_unity(zeta, 2, 12, ctx) == (0, 1, 0, 0)
-        # A value off the named root, and one near it but not within 1e-20.
-        assert recognize_root_of_unity(zeta, 4, 12, ctx) is None
-        near = zeta + mpf(10) ** -15
-        assert recognize_root_of_unity(near, 2, 12, ctx) is None
-        # Odd m for odd N: zeta_6**3 = -1 over (1, zeta_3), zeta_2 = -1 over (1,).
-        assert recognize_root_of_unity(-1, 3, 3, ctx) == (-1, 0)
-        assert recognize_root_of_unity(-1, 1, 1, ctx) == (-1,)
-        with pytest.raises(DomainError, match="not in"):
-            recognize_root_of_unity(zeta, 1, 12, ctx)
-        with pytest.raises(DomainError, match="must be an integer"):
-            recognize_root_of_unity(zeta, 2.0, 12, ctx)
-        # A target that is not a finite number is refused, not left unrecognized.
-        with pytest.raises(DomainError, match="must be a finite number"):
-            recognize_root_of_unity("abc", 2, 12, ctx)
-        for bad in (mp.nan, mp.inf, mp.mpc(1, mp.nan)):
-            with pytest.raises(DomainError, match="non-finite"):
-                recognize_root_of_unity(bad, 2, 12, ctx)
-        # No bound on the coordinates: zeta_935**912 reduces mod Phi_935 to
-        # exact coordinates that include a 5.
-        coeffs = recognize_root_of_unity(mp.expjpi(mpf(1824) / 935), 1824, 935, ctx)
-        assert max(map(abs, coeffs)) == 5
-        # The rule reads its constant: a looser tolerance accepts the near value.
-        monkeypatch.setattr(jacobi, "_ROOT_TOL", mpf(10) ** -10)
-        assert recognize_root_of_unity(near, 2, 12, ctx) == (0, 1, 0, 0)
+        near = mp.expjpi(mpf(m) / 12) * (1 + mpf(10) ** -15) * site.p ** classify(f).k
+    monkeypatch.setattr(jacobi, "jacobi_sum", lambda f, site, ctx, scale: near)
+    assert psi_order(f, site, ctx) is None
 
 
 def test_recognize_cyclotomic(ctx):

@@ -1,9 +1,15 @@
-"""Boundaries between the package's modules."""
+"""Contracts that span the package's modules."""
 
 import ast
+import importlib
+import runpy
 from pathlib import Path
 
+import pytest
+
 import cartan_gamma
+from cartan_gamma import (DomainError, GammaWord, InvalidRank, PrecisionContext, PrimeSite,
+                          RootSystemLabel, SearchExhausted, find_site, units)
 
 PACKAGE = Path(cartan_gamma.__file__).parent
 
@@ -19,3 +25,36 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 private += [f"{path.name}: {node.module}.{alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_every_name_the_benchmark_tracer_wraps_exists():
+    # bench/run.py --trace 1 wraps each (module, attribute) of TRACED, a
+    # dotted attribute naming a method; a missing one stops Tracer.install
+    # with AttributeError.  run_path compiles the file and writes nothing.
+    tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    missing = []
+    for targets in runpy.run_path(str(tracer))["TRACED"].values():
+        for module, attr in targets:
+            owner = importlib.import_module(f"cartan_gamma.{module}")
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                missing.append(f"{module}.{attr}")
+    assert missing == []
+
+
+HUGE = 10 ** 5000  # beyond Python's default int-to-str limit of 4,300 digits
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: RootSystemLabel("A", HUGE), InvalidRank, "A<16610-bit integer>: rank must be in"),
+    (lambda: RootSystemLabel.parse("A" + "9" * 4400), InvalidRank, "9: rank must be in 1..50"),
+    (lambda: PrecisionContext(HUGE), DomainError, "got <16610-bit integer>"),
+    (lambda: PrimeSite(12, HUGE), DomainError, "<16610-bit integer> exceeds"),
+    (lambda: units(-HUGE), DomainError, "got <negative 16610-bit integer>"),
+    (lambda: find_site(12, p_min=HUGE), SearchExhausted, r"\[<16610-bit integer>, "),
+    (lambda: GammaWord.from_coeffs(12, {HUGE: 1}), DomainError, "residue <16610-bit integer>"),
+], ids=["label", "label-parse", "precision", "prime-site", "units", "find-site", "word"])
+def test_integers_too_long_for_str_get_typed_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
