@@ -46,12 +46,19 @@ class QuadratureNotConverged(CartanGammaError):
     """Successive quadrature refinements disagree beyond tolerance."""
 
 
-def show_int(n: int) -> str:
-    """n in decimal, or its sign and bit length beyond Python's int-to-str limit."""
+def show_int(value) -> str:
+    """str(value) for an int, a Fraction, or a list or tuple of them; past the
+    int-to-str limit an integer shows as its sign and bit length, a sequence in brackets."""
     try:
-        return str(n)
+        return str(value)
     except ValueError:
-        return f"<{'negative ' if n < 0 else ''}{n.bit_length()}-bit integer>"
+        pass
+    if isinstance(value, Fraction):
+        num = show_int(value.numerator)
+        return num if value.denominator == 1 else f"{num}/{show_int(value.denominator)}"
+    if isinstance(value, (list, tuple)):
+        return f"[{', '.join(map(show_int, value))}]"
+    return f"<{'negative ' if value < 0 else ''}{value.bit_length()}-bit integer>"
 
 
 def require_int(value, what: str, error: type = DomainError,

@@ -79,14 +79,9 @@ class GammaWord:
         return GammaWord(self.modulus, tuple((j, -c) for j, c in self.coeffs))
 
     def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for j, c in self.coeffs:
-            mult = "" if abs(c) == 1 else str(abs(c))
-            parts.append(f"{'-' if c < 0 else '+'}{mult}[{j}]")
-        text = "".join(parts)
-        return text[1:] if text.startswith("+") else text
+        text = "".join(f"{'-' if c < 0 else '+'}{'' if abs(c) == 1 else show_int(abs(c))}"
+                       f"[{show_int(j)}]" for j, c in self.coeffs)
+        return text.removeprefix("+") or "0"
 
     def to_json_dict(self) -> dict:
         return {"N": self.modulus, "coeffs": {str(j): c for j, c in self.coeffs}}
@@ -126,8 +121,19 @@ def n_of(f: GammaWord) -> Fraction:
     return Fraction(sum(j * c for j, c in f.coeffs), f.modulus)
 
 
+# Largest modulus N of a unit group, a prime site or a cyclotomic field.
+MAX_MODULUS = 1_000
+
+
+def require_modulus(modulus: int, minimum: int = 2) -> None:
+    """DomainError unless modulus is an int from minimum to MAX_MODULUS."""
+    require_int(modulus, "modulus", minimum=minimum)
+    if modulus > MAX_MODULUS:
+        raise DomainError(f"modulus {show_int(modulus)} exceeds MAX_MODULUS = {MAX_MODULUS}")
+
+
 def units(modulus: int) -> tuple[int, ...]:
-    require_int(modulus, "modulus", minimum=2)
+    require_modulus(modulus)
     return tuple(u for u in range(1, modulus) if gcd(u, modulus) == 1)
 
 
@@ -145,11 +151,11 @@ def u_act(u: int, f: GammaWord) -> GammaWord:
 
 def classify(f: GammaWord) -> MembershipVerdict:
     """Exact membership verdict: weighted sum integral and constant on the
-    orbit of the unit-group action."""
-    k = n_of(f)
+    orbit of the unit-group action; DomainError above MAX_MODULUS."""
+    group, k = units(f.modulus), n_of(f)
     if k.denominator != 1:
         return MembershipVerdict(in_C=False, witness=k)
-    for u in units(f.modulus):
+    for u in group:
         if n_of(u_act(u, f)) != k:
             return MembershipVerdict(in_C=False, witness=u)
     return MembershipVerdict(in_C=True, k=int(k))

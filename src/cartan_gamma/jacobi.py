@@ -15,6 +15,9 @@ Fields, 6.2; Gross and Koblitz, Ann. of Math. 109, 1979).  Its order and
 its exact integer coordinates over the power basis follow from m, and
 :func:`word_at_site` checks the numeric psi against those coordinates to
 every digit of the context, which confirms both m and the reduction.
+One exact division of integer polynomials builds the cyclotomic polynomial
+Phi_N from x**N - 1, of degree phi(N), and reduces +-x**e mod Phi_N to those
+coordinates; moduli above gammawords.MAX_MODULUS are refused.
 
 Other values in the ring of integers of the N-th cyclotomic field are
 recognized by one PSLQ integer-relation search over the real numbers
@@ -29,14 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd
 
 from mpmath import mp, mpf
 from mpmath.libmp import from_int, from_man_exp, mpf_cos_sin_pi, mpf_div
 
 from .errors import (DomainError, NotInC, SearchExhausted, require_finite, require_int,
                      require_tolerance, show_int)
-from .gammawords import GammaWord, classify
+from .gammawords import GammaWord, classify, require_modulus
 from .specialfn import PrecisionContext
 
 # Largest prime a site may use, and find_site's default search cap.
@@ -65,13 +68,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 def _least_primitive_root(p: int) -> int:
+    # g = 1 generates the units mod 2; for odd p it never qualifies.
     factors = _prime_factors(p - 1)
-    g = 1  # generates the units mod 2; for odd p it never qualifies
-    while g < p:
-        if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-            return g
-        g += 1
-    raise AssertionError(f"no primitive root found mod {p}")
+    return next(g for g in range(1, p) if all(pow(g, (p - 1) // q, p) != 1 for q in factors))
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class PrimeSite:
     p: int
 
     def __post_init__(self) -> None:
-        require_int(self.modulus, "modulus", minimum=2)
+        require_modulus(self.modulus)
         require_int(self.p, "prime")
         if not _is_prime(self.p):
             raise DomainError(f"{self.p} is not prime")
@@ -235,7 +234,7 @@ def word_at_site(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
     or None when psi lies 10**(-digits) or farther from zeta_2N**m, recombined
     from its root_of_unity_coordinates.  Raises NotInC for a non-member and
     DomainError for a foreign site."""
-    k = _weight(f)
+    k = _weight(f, site)
     j = jacobi_sum(f, site, ctx, additive_scale)
     m = _stickelberger_exponent(f, site, k)
     n = site.modulus
@@ -253,11 +252,14 @@ def hecke_value(f: GammaWord, site: PrimeSite, ctx: PrecisionContext,
     return word_at_site(f, site, ctx, additive_scale)[1]
 
 
-def _weight(f: GammaWord) -> int:
-    """The word's weight k; NotInC when the word fails membership."""
+def _weight(f: GammaWord, site: PrimeSite) -> int:
+    """The word's weight k; DomainError for a foreign site, before the word
+    is classified, and NotInC when the word fails membership."""
+    if f.modulus != site.modulus:
+        raise DomainError(f"word modulus {show_int(f.modulus)} != site modulus {site.modulus}")
     verdict = classify(f)
     if not verdict.in_C:
-        raise NotInC(f"word {f} fails membership (witness {verdict.witness})")
+        raise NotInC(f"word {f} fails membership (witness {show_int(verdict.witness)})")
     return verdict.k
 
 
@@ -282,13 +284,11 @@ def psi_exponent(f: GammaWord, site: PrimeSite) -> int:
     a root of unity in Q(zeta_N); those reduce injectively mod p, so the
     residue fixes m.
     """
-    return _stickelberger_exponent(f, site, _weight(f))
+    return _stickelberger_exponent(f, site, _weight(f, site))
 
 
 def _stickelberger_exponent(f: GammaWord, site: PrimeSite, k: int) -> int:
-    """psi_exponent of a member word already classified, of weight k."""
-    if f.modulus != site.modulus:
-        raise DomainError(f"word modulus {show_int(f.modulus)} != site modulus {site.modulus}")
+    """psi_exponent of a member word of the site's modulus, of weight k."""
     p = site.p
     factorials, exponents = _stickelberger_table(site)
     residue = p - 1 if k % 2 else 1
@@ -321,13 +321,6 @@ def psi_order(f: GammaWord, site: PrimeSite, ctx: PrecisionContext) -> int | Non
     return word_at_site(f, site, ctx)[3]
 
 
-def _euler_phi(n: int) -> int:
-    out = n
-    for q in _prime_factors(n):
-        out -= out // q
-    return out
-
-
 @lru_cache(maxsize=None)
 def _zeta_powers(n: int, digits: int):
     ctx = PrecisionContext(digits)
@@ -350,18 +343,17 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     within ``max_coeff`` and the re-evaluated combination lies within ``tol``
     of z.
     """
-    require_int(modulus, "modulus", minimum=1)
+    require_modulus(modulus, minimum=1)
     require_int(max_coeff, "max_coeff", minimum=0)
     ctx = ctx or PrecisionContext()
     with ctx.working():
         tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
-        phi = _euler_phi(modulus)
-        zetas = _zeta_powers(modulus, ctx.digits)[:phi]
+        zetas = _zeta_powers(modulus, ctx.digits)[:len(_cyclotomic_polynomial(modulus)) - 1]
         z = require_finite(z, "the value to recognize", mp.mpc)
         x = [w.real + mp.pi * w.imag for w in (z, *zetas)]
         if abs(z) < tol or not x[0]:
             # The zero element; pslq rejects a zero entry.
-            coeffs = [0] * phi
+            coeffs = [0] * len(zetas)
         else:
             # pslq bounds every entry strictly below maxcoeff.
             relation = mp.pslq(x, tol=mpf(10) ** (2 - ctx.digits),
@@ -370,50 +362,44 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
                 return None
             coeffs = [-relation[0] * c for c in relation[1:]]
         recombined = sum(c * zetas[j] for j, c in enumerate(coeffs))
-        if abs(z - recombined) < tol:
-            return tuple(coeffs)
-        return None
+        return tuple(coeffs) if abs(z - recombined) < tol else None
 
 
 def root_of_unity_coordinates(m: int, modulus: int) -> tuple[int, ...]:
     """Exact integer coordinates of zeta_2N**m over the power basis of the
     N-th cyclotomic integers: zeta_2N**m is zeta_N**(m/2) for even m and
     -zeta_N**((m+N)/2) for odd m, which lies in Q(zeta_N) only for odd N
-    (DomainError otherwise), so they are those of +-x**e, for that power e,
-    reduced mod the cyclotomic polynomial Phi_N in integers."""
-    require_int(modulus, "modulus", minimum=1)
+    (DomainError otherwise), so they are the remainder of +-x**e, for that
+    power e, divided by the cyclotomic polynomial Phi_N."""
+    require_modulus(modulus, minimum=1)
     require_int(m, "exponent")
     m %= 2 * modulus
     if m % 2 and modulus % 2 == 0:
         raise DomainError(f"zeta_{2 * modulus}**{m} is not in Q(zeta_{modulus})")
     sign, e = (1, m // 2) if m % 2 == 0 else (-1, (m + modulus) // 2 % modulus)
-    phi = _euler_phi(modulus)
-    coeffs = [0] * max(e + 1, phi)
-    coeffs[e] = sign
-    for top in range(e, phi - 1, -1):
-        # Subtract coeffs[top] x**(top - phi) Phi_N, which clears x**top.
-        lead = coeffs[top]
-        for i, c in enumerate(_cyclotomic_polynomial(modulus)):
-            coeffs[top - phi + i] -= lead * c
-    return tuple(coeffs[:phi])
+    return tuple(_divmod([0] * e + [sign], _cyclotomic_polynomial(modulus))[1])
 
 
 @lru_cache(maxsize=None)
 def _cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Phi_n for n >= 2, constant term first: the product over d | n of
-    (1 - x**d)**mu(n/d), in power series cut after degree phi(n)."""
-    phi = _euler_phi(n)
-    poly = [1] + [0] * phi
+    """Phi_n for a modulus n that require_modulus accepts, constant term
+    first: x**n - 1 divided by Phi_d for every proper divisor d of n, as
+    x**n - 1 is the product of Phi_d over all d | n (Washington, chapter 2)."""
+    poly = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d:
-            continue
-        primes = _prime_factors(n // d)
-        if prod(primes) != n // d:
-            continue  # mu(n/d) = 0
-        if len(primes) % 2:
-            for i in range(d, phi + 1):  # divide by 1 - x**d
-                poly[i] += poly[i - d]
-        else:
-            for i in range(phi, d - 1, -1):  # multiply by 1 - x**d
-                poly[i] -= poly[i - d]
+        if n % d == 0:
+            poly = _divmod(poly, _cyclotomic_polynomial(d))[0]
     return tuple(poly)
+
+
+def _divmod(num: list[int], den: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of integer polynomials, constant term first,
+    by a monic den; the remainder has deg den coefficients."""
+    rem, deg = list(num) + [0] * len(den), len(den) - 1
+    quotient = [0] * max(len(num) - deg, 0)
+    for top in range(len(num) - 1, deg - 1, -1):
+        # Subtract rem[top] x**(top - deg) den, which clears x**top.
+        lead = quotient[top - deg] = rem[top]
+        for i, c in enumerate(den):
+            rem[top - deg + i] -= lead * c
+    return quotient, rem[:deg]

@@ -152,7 +152,7 @@ class RootSystem:
         """Exact invariant product (B v).w / max(lengths) of coefficient vectors."""
         if not len(v) == len(w) == self.rank:
             raise DomainError(f"{self.label} needs coefficient vectors of length "
-                              f"{self.rank}, got {tuple(v)} and {tuple(w)}")
+                              f"{self.rank}, got {show_int(tuple(v))} and {show_int(tuple(w))}")
         b_v = _simple_pairings(self.cartan, v)
         return Q(sum(e * b * x for e, b, x in zip(self.lengths, b_v, w)), max(self.lengths))
 
@@ -238,7 +238,7 @@ def height(rs: RootSystem, alpha: Sequence[int]) -> int:
     half-sum of positive coroots under the long-norm-2 normalization."""
     t = tuple(alpha)
     if t not in rs.coroots:
-        raise NotARoot(f"{t} is not a positive root of {rs.label}")
+        raise NotARoot(f"{show_int(t)} is not a positive root of {rs.label}")
     return sum(t)
 
 
@@ -248,7 +248,7 @@ def _signed_row(rs: RootSystem, alpha: Sequence[int]) -> tuple[int, ...]:
     sign = 1 if t in rs.coroots else -1
     row = rs.coroots.get(tuple(sign * c for c in t))
     if row is None:
-        raise NotARoot(f"{t} is not a root of {rs.label}")
+        raise NotARoot(f"{show_int(t)} is not a root of {rs.label}")
     return tuple(sign * c for c in row)
 
 

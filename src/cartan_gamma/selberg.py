@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, QuadratureNotConverged, require_int, require_rational
+from .errors import DomainError, QuadratureNotConverged, require_int, require_rational, show_int
 from .specialfn import PrecisionContext
 
 Rational = Fraction | int
@@ -119,7 +119,7 @@ def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext):
     propagated error estimate exceeds 1e-5 of the value."""
     params.require_real_domain()
     if params.n not in (1, 2):
-        raise DomainError(f"quadrature oracle covers n in {{1, 2}}, got n={params.n}")
+        raise DomainError(f"quadrature oracle covers n in {{1, 2}}, got n={show_int(params.n)}")
     with ctx.working():
         a, b, r = (ctx.to_mpf(Fraction(v)) for v in (params.alpha, params.beta, params.rho))
         if params.n == 1:
@@ -156,9 +156,9 @@ def selberg_complex_closed(params: SelbergParams, ctx: PrecisionContext):
         q = Fraction(arg)
         if q.denominator == 1:
             if q <= 0:
-                raise DomainError(f"ratio factor has a pole at argument {q}")
+                raise DomainError(f"ratio factor has a pole at argument {show_int(q)}")
             if e < 0:
-                raise DomainError(f"ratio factor vanishes at argument {q} "
+                raise DomainError(f"ratio factor vanishes at argument {show_int(q)} "
                                   "in the denominator")
             vanishes = True
     with ctx.working():
@@ -187,7 +187,7 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
     error estimate exceeds 1e-5 of the value.
     """
     if params.n != 1:
-        raise DomainError(f"complex quadrature oracle covers n = 1, got n={params.n}")
+        raise DomainError(f"complex quadrature oracle covers n = 1, got n={show_int(params.n)}")
     params.require_complex_domain()
     with ctx.working():
         a = ctx.to_mpf(Fraction(params.alpha))

@@ -60,9 +60,9 @@ def gamma(x: Rational, ctx: PrecisionContext):
     """Gamma(x) for rational x in (0, 2)."""
     q = require_rational(x)
     if q.denominator == 1 and q <= 0:
-        raise PoleError(f"gamma has a pole at {q}")
+        raise PoleError(f"gamma has a pole at {show_int(q)}")
     if not 0 < q < 2:
-        raise DomainError(f"gamma argument must lie in (0, 2), got {q}")
+        raise DomainError(f"gamma argument must lie in (0, 2), got {show_int(q)}")
     with ctx.working():
         return mp.gamma(ctx.to_mpf(q))
 
@@ -74,7 +74,7 @@ def gamma_tilde(x: Rational, ctx: PrecisionContext):
     """
     q = require_rational(x)
     if not 0 < q < 1:
-        raise DomainError(f"argument must lie in (0, 1), got {q}")
+        raise DomainError(f"argument must lie in (0, 1), got {show_int(q)}")
     with ctx.working():
         v = ctx.to_mpf(q)
         return mp.gamma(v) / mp.gamma(1 - v)

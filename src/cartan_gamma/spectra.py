@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, NoConvergence, require_int, require_tolerance
+from .errors import DomainError, NoConvergence, require_int, require_tolerance, show_int
 from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
@@ -57,13 +57,13 @@ def _positive_inverse(cartan) -> list[list[Q]]:
     n = len(cartan) if isinstance(cartan, Sequence) else 0
     if not n or not all(isinstance(row, Sequence) and len(row) == n
                         and all(isinstance(a, int) for a in row) for row in cartan):
-        raise DomainError(f"{cartan} is not a nonempty square integer matrix")
+        raise DomainError(f"{show_int(cartan)} is not a nonempty square integer matrix")
     m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(cartan)]
     d = 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if m[i][k]), None)
         if pivot is None:
-            raise DomainError(f"Cartan matrix {cartan} is singular")
+            raise DomainError(f"Cartan matrix {show_int(cartan)} is singular")
         m[k], m[pivot] = m[pivot], m[k]
         top = m[k]
         m = [row if i == k else [(top[k] * a - row[k] * b) // d for a, b in zip(row, top)]
@@ -71,7 +71,7 @@ def _positive_inverse(cartan) -> list[list[Q]]:
         d = top[k]
     inverse = [[Q(a, d) for a in row[n:]] for row in m]
     if not all(q > 0 for row in inverse for q in row):
-        raise DomainError(f"inverse of {cartan} is not entrywise positive, "
+        raise DomainError(f"inverse of {show_int(cartan)} is not entrywise positive, "
                           f"so it is not the Cartan matrix of a finite "
                           f"irreducible type")
     return inverse

@@ -226,6 +226,7 @@ FIXED_OUTPUT_DIGESTS = {
     "jacobi --type E8 --prime 1201":
         ("a3fe14b91297864c", "c29560540927a70e", "e18d78c306e67f85"),
     "jacobi --type A22": ("0aea231dda0ca7bf", "f7f94ecbf4e9a5f1", "f5fe6cc5c8854919"),
+    "jacobi --type C50": ("d5b72c09d25dff2f", "923f794a5874b7e4", "bb39dd0f5cbd491e"),
     "identities": ("f8a156a71fdf5f5e", "8c3067c76376dc38", "5209919847885138"),
     "selberg --grid 1 --digits 20":
         ("3c3b9a3d2da2e234", "afdc6e968f598a57", "fc470eb51d5536f6"),

@@ -10,6 +10,7 @@ from cartan_gamma import (DomainError, GammaWord, NotAUnit, classify, evaluate,
                           evaluate_gamma_ratio, evaluate_sine_product, n_of,
                           pairing_height_sum, pow_rat, tilde, u_act, units,
                           word_of_root_system)
+from cartan_gamma.gammawords import MAX_MODULUS
 from conftest import rs
 
 EXAMPLE_WORDS_E6 = {
@@ -144,6 +145,17 @@ def test_units_refuses_moduli_below_two(modulus):
     # range(1, modulus) is empty there, which read as "no units".
     with pytest.raises(DomainError, match="modulus must be >= 2"):
         units(modulus)
+
+
+def test_units_and_classify_refuse_moduli_above_the_bound():
+    # Both walk the units mod N; a word of modulus 10**5000 built that tuple
+    # for minutes.  A word whose weighted sum is not an integer, which needs
+    # no unit, is refused too.
+    assert MAX_MODULUS == 1_000 and len(units(MAX_MODULUS)) == 400
+    for call in (lambda: units(1001), lambda: classify(GammaWord(1001, ((1, 1),))),
+                 lambda: classify(GammaWord(10 ** 5000, ()))):
+        with pytest.raises(DomainError, match="exceeds MAX_MODULUS = 1000"):
+            call()
 
 
 @st.composite

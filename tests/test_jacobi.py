@@ -13,7 +13,7 @@ from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, Prim
                           RootSystemLabel, SearchExhausted, build_root_system, classify,
                           find_site, gauss_sum, hecke_value, jacobi_sum, psi_exponent,
                           psi_order, recognize_cyclotomic, root_of_unity_coordinates,
-                          tilde, word_at_site, word_of_root_system)
+                          tilde, units, word_at_site, word_of_root_system)
 from cartan_gamma.cli import default_battery
 from cartan_gamma.rootkit import MAX_RANK
 from conftest import rs
@@ -27,6 +27,11 @@ def test_find_site_examples():
     assert find_site(12, p_min=14).p == 37
     with pytest.raises(SearchExhausted):
         find_site(9973, p_min=2, cap=10_000)
+    # The Gauss sweep's tables grow as N and N**2, so a site's modulus is
+    # bounded; find_site refuses only the site it finds, as above.
+    assert find_site(1000).p == 3001
+    with pytest.raises(DomainError, match="exceeds MAX_MODULUS = 1000"):
+        find_site(1020)
 
 
 def test_site_validation():
@@ -75,10 +80,10 @@ def test_prime_site_is_valid_or_refused(modulus, p, snap):
 
 @pytest.mark.parametrize("modulus,p", [(0, 7), (1, 7), (12, 17), (12, 15), (12, 2),
                                        (12.0, 13), (12, 13.0), (12, True), (True, 3),
-                                       ("12", 13)],
+                                       ("12", 13), (1020, 1021)],
                          ids=["modulus-zero", "modulus-one", "not-1-mod-N", "composite",
                               "prime-two", "float-modulus", "float-prime", "bool-prime",
-                              "bool-modulus", "str-modulus"])
+                              "bool-modulus", "str-modulus", "modulus-above-bound"])
 def test_site_for_prime_rejects(modulus, p):
     with pytest.raises(DomainError):
         PrimeSite(modulus, p)
@@ -395,6 +400,16 @@ def test_psi_exponent_refuses_non_members_and_foreign_sites():
         psi_exponent(word_of_root_system(rs("E6"), 1), find_site(18))
 
 
+def test_foreign_site_is_refused_before_the_word_is_classified(monkeypatch, ctx):
+    def classify_fails(f):
+        raise AssertionError("classified")
+    monkeypatch.setattr(jacobi, "classify", classify_fails)
+    huge, site = GammaWord(10 ** 5000, ()), find_site(12)
+    for call in (lambda: psi_exponent(huge, site), lambda: word_at_site(huge, site, ctx)):
+        with pytest.raises(DomainError, match="site modulus 12"):
+            call()
+
+
 def test_psi_order_is_none_off_the_exponent(monkeypatch, ctx):
     # A numeric psi that is not the root the congruence names has no order.
     site = find_site(12)
@@ -444,6 +459,42 @@ def test_root_of_unity_coordinates_are_exact_reductions():
     # No bound on the coordinates: zeta_935**912 reduces mod Phi_935 to
     # exact coordinates that include a 5.
     assert max(map(abs, root_of_unity_coordinates(1824, 935))) == 5
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cyclotomic_polynomials_multiply_out_to_x_n_minus_one():
+    # x**N - 1 is the product of Phi_d over d | N, and deg Phi_N = phi(N).
+    for n in range(1, 201):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _poly_mul(product, list(jacobi._cyclotomic_polynomial(d)))
+        assert product == [-1] + [0] * (n - 1) + [1]
+    for n in (*CLI_MODULI, 935, 1000):
+        assert len(jacobi._cyclotomic_polynomial(n)) - 1 == len(units(n))
+    # Phi_105 is the first with a coefficient other than 0 and +-1; Phi_p
+    # for a prime p is 1 + x + ... + x**(p-1).
+    assert -2 in jacobi._cyclotomic_polynomial(105)
+    for p in (p for p in range(2, 100) if all(p % d for d in range(2, p))):
+        assert jacobi._cyclotomic_polynomial(p) == (1,) * p
+
+
+def test_cyclotomic_calls_refuse_moduli_above_the_bound(monkeypatch, ctx):
+    def pslq_fails(*args, **kwargs):
+        raise AssertionError("PSLQ ran")
+    monkeypatch.setattr(mp, "pslq", pslq_fails)
+    for n in (1001, 10 ** 20 + 39):
+        with pytest.raises(DomainError, match="exceeds MAX_MODULUS = 1000"):
+            root_of_unity_coordinates(0, n)
+        with pytest.raises(DomainError, match="exceeds MAX_MODULUS = 1000"):
+            recognize_cyclotomic(1, n, ctx=ctx)
 
 
 def test_psi_order_needs_every_digit_of_the_root(monkeypatch):

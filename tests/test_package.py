@@ -3,13 +3,16 @@
 import ast
 import importlib
 import runpy
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import cartan_gamma
-from cartan_gamma import (DomainError, GammaWord, InvalidRank, PrecisionContext, PrimeSite,
-                          RootSystemLabel, SearchExhausted, find_site, units)
+from cartan_gamma import (DomainError, GammaWord, InvalidRank, NotInC, PrecisionContext,
+                          PrimeSite, RootSystemLabel, SearchExhausted, SelbergParams,
+                          find_site, gamma, gamma_tilde, pf_power_iteration, psi_exponent,
+                          selberg_complex_closed, units)
 
 PACKAGE = Path(cartan_gamma.__file__).parent
 
@@ -54,7 +57,17 @@ HUGE = 10 ** 5000  # beyond Python's default int-to-str limit of 4,300 digits
     (lambda: units(-HUGE), DomainError, "got <negative 16610-bit integer>"),
     (lambda: find_site(12, p_min=HUGE), SearchExhausted, r"\[<16610-bit integer>, "),
     (lambda: GammaWord.from_coeffs(12, {HUGE: 1}), DomainError, "residue <16610-bit integer>"),
-], ids=["label", "label-parse", "precision", "prime-site", "units", "find-site", "word"])
+    (lambda: gamma(HUGE, PrecisionContext()), DomainError, r"\(0, 2\), got <16610-bit integer>$"),
+    (lambda: gamma_tilde(Fraction(1, HUGE) - 1, PrecisionContext()), DomainError,
+     "got <negative 16610-bit integer>/<16610-bit integer>"),
+    (lambda: selberg_complex_closed(SelbergParams(-HUGE, 1, 0, 1), PrecisionContext()),
+     DomainError, "pole at argument <negative 16610-bit integer>"),
+    (lambda: pf_power_iteration([[-HUGE]], PrecisionContext()), DomainError,
+     r"inverse of \[\[<negative 16610-bit integer>\]\] is not entrywise positive"),
+    (lambda: psi_exponent(GammaWord.from_coeffs(12, {1: HUGE}), find_site(12)), NotInC,
+     r"word <16610-bit integer>\[1\] fails membership \(witness <16608-bit integer>/3\)"),
+], ids=["label", "label-parse", "precision", "prime-site", "units", "find-site", "word",
+        "gamma", "gamma-tilde", "selberg-pole", "pf-inverse", "word-witness"])
 def test_integers_too_long_for_str_get_typed_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
