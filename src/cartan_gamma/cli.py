@@ -318,25 +318,22 @@ def _cmd_selberg(args, ctx, tol):
     complex_grid = complex_parameter_grid()[:args.grid or None]
     entries = []
     lines = ["closed form vs quadrature oracle"]
-    rows = []
     ok = True
     real_oracle, complex_oracle = cross_validate(real_grid, complex_grid, ctx)
     with ctx.working():
-        for params, quadrature in zip(real_grid, real_oracle):
-            closed = selberg_real_closed(params, ctx)
-            rel = abs(quadrature - closed) / abs(closed)
-            ok &= rel < mpf("1e-8")
-            entries.append(_selberg_entry("real", params, closed, quadrature, rel, ctx))
-        for params, quadrature in zip(complex_grid, complex_oracle):
-            closed = selberg_complex_closed(params, ctx)
-            rel = abs(quadrature - closed) / abs(closed)
-            ok &= rel < mpf("1e-6")
-            entries.append(_selberg_entry("complex", params, closed, quadrature, rel, ctx))
+        for case, closed_form, bound, grid, oracle in (
+                ("real", selberg_real_closed, mpf("1e-8"), real_grid, real_oracle),
+                ("complex", selberg_complex_closed, mpf("1e-6"), complex_grid, complex_oracle)):
+            for params, quadrature in zip(grid, oracle):
+                closed = closed_form(params, ctx)
+                rel = abs(quadrature - closed) / abs(closed)
+                ok &= rel < bound
+                entries.append(_selberg_entry(case, params, closed, quadrature, rel, ctx))
     for e in entries:
         lines.append(f"  {e['case']:<8} alpha={e['alpha']:<6} beta={e['beta']:<6} "
                      f"rho={e['rho']:<5} n={e['n']}  rel error {e['rel_error']}")
-        rows.append(dict(e))
     lines.append("PASS" if ok else "FAIL")
+    rows = [dict(e) for e in entries]
     return {"entries": entries, "pass": bool(ok)}, lines, rows, 0 if ok else 1
 
 

@@ -44,7 +44,7 @@ class GammaWord:
         if not (isinstance(self.coeffs, tuple)
                 and all(isinstance(t, tuple) and len(t) == 2 for t in self.coeffs)):
             raise DomainError(f"coefficients must be a tuple of (residue, exponent) "
-                              f"pairs, got {self.coeffs!r}")
+                              f"pairs, got {show_int(self.coeffs, repr)}")
         for j, c in self.coeffs:
             require_int(j, "residue")
             require_int(c, "exponent")
@@ -58,7 +58,8 @@ class GammaWord:
     @classmethod
     def from_coeffs(cls, modulus: int, coeffs: Mapping[int, int]) -> "GammaWord":
         if not isinstance(coeffs, Mapping):
-            raise DomainError(f"coefficients must map residues to exponents, got {coeffs!r}")
+            raise DomainError("coefficients must map residues to exponents, "
+                              f"got {show_int(coeffs, repr)}")
         for j, c in coeffs.items():  # zero exponents too, before they are dropped
             require_int(j, "residue")
             require_int(c, "exponent")

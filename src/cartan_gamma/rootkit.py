@@ -55,7 +55,7 @@ class RootSystemLabel:
 
     def __post_init__(self) -> None:
         if not isinstance(self.family, str) or self.family not in _RANK_RANGE:
-            raise InvalidRank(f"unknown family {self.family!r}")
+            raise InvalidRank(f"unknown family {show_int(self.family, repr)}")
         require_int(self.rank, "rank", InvalidRank)
         lo, hi = _RANK_RANGE[self.family]
         if not lo <= self.rank <= hi:
@@ -67,10 +67,10 @@ class RootSystemLabel:
     @classmethod
     def parse(cls, text: str) -> "RootSystemLabel":
         if not isinstance(text, str):
-            raise InvalidRank(f"cannot parse root-system label {text!r}")
+            raise InvalidRank(f"cannot parse root-system label {show_int(text, repr)}")
         text = text.strip()
         if len(text) < 2 or text[0].upper() not in _RANK_RANGE or not text[1:].isdecimal():
-            raise InvalidRank(f"cannot parse root-system label {text!r}")
+            raise InvalidRank(f"cannot parse root-system label {show_int(text, repr)}")
         family, digits = text[0].upper(), text[1:].lstrip("0") or "0"
         if len(digits) > len(str(MAX_RANK)):  # above every range, maybe beyond int()
             lo, hi = _RANK_RANGE[family]

@@ -11,8 +11,8 @@ takes the angular part as a 2F1, and Euler's transformation makes the
 radial part Beta-weighted; its two integrals share one table of 2F1
 values.  Neither oracle evaluates the closed form's Gamma product;
 mpmath's 2F1 uses its own connection formulas near 1.  cross_validate
-computes the oracles of a whole grid, one forked process per CPU, with
-the same bits as a serial loop.
+runs a grid's oracles on one pool of forked processes, one per CPU, with
+the same bits as a serial loop, and leaving the pool ends the processes.
 """
 
 from __future__ import annotations
@@ -25,9 +25,7 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import DomainError, QuadratureNotConverged, require_int, require_rational, show_int
-from .specialfn import PrecisionContext
-
-Rational = Fraction | int
+from .specialfn import PrecisionContext, Rational
 
 
 @dataclass(frozen=True)
@@ -51,12 +49,12 @@ class SelbergParams:
 
     def require_real_domain(self) -> None:
         if not (self.alpha > 0 and self.beta > 0 and self.rho >= 0):
-            raise DomainError(f"outside the real convergence domain: {self}")
+            raise DomainError(f"outside the real convergence domain: {show_int(self, repr)}")
 
     def require_complex_domain(self) -> None:
         a, b = Fraction(self.alpha), Fraction(self.beta)
         if not (0 < a < 1 and 0 < b < 1 and a + b < 1):
-            raise DomainError(f"outside the complex integrability domain: {self}")
+            raise DomainError(f"outside the complex integrability domain: {show_int(self, repr)}")
 
 
 def _gamma_factors(params: SelbergParams):
@@ -209,28 +207,23 @@ def cross_validate(real_grid, complex_grid, ctx: PrecisionContext):
     """Quadrature oracle values of the real and of the complex grid, each
     list in grid order.  The points are independent, so they run on a pool
     of forked processes, one per usable CPU; with one CPU, or without
-    ``fork``, they run in this process.  The complex points are submitted
+    ``fork``, they run in this process.  The complex points are queued
     first, as each costs two to four real ones.  Pickling keeps every mpf
-    bit for bit, and an oracle's CartanGammaError is raised again here."""
+    bit for bit, and an oracle's CartanGammaError is raised again here.
+    Leaving the pool, with the results or any exception, terminates it."""
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    jobs = ([(selberg_complex_quadrature, p) for p in complex_grid]
-            + [(selberg_real_quadrature, p) for p in real_grid])
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(jobs), cpus)
+    workers = min(len(real_grid) + len(complex_grid), cpus)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        values = [oracle(p, ctx) for oracle, p in jobs]
-    else:
-        with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
-            futures = [pool.submit(oracle, p, ctx) for oracle, p in jobs]
-            try:
-                values = [f.result() for f in futures]
-            except BaseException:
-                pool.shutdown(cancel_futures=True)
-                raise
-    n_complex = len(complex_grid)
-    return values[n_complex:], values[:n_complex]
+        complex_values = [selberg_complex_quadrature(p, ctx) for p in complex_grid]
+        return [selberg_real_quadrature(p, ctx) for p in real_grid], complex_values
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        complex_values = pool.starmap_async(
+            selberg_complex_quadrature, [(p, ctx) for p in complex_grid], chunksize=1)
+        real_values = pool.starmap_async(
+            selberg_real_quadrature, [(p, ctx) for p in real_grid], chunksize=1)
+        return real_values.get(), complex_values.get()
 
 
 def real_parameter_grid() -> tuple[SelbergParams, ...]:

@@ -1,3 +1,4 @@
+import multiprocessing
 from fractions import Fraction
 from typing import Iterable
 
@@ -5,6 +6,12 @@ import pytest
 
 from cartan_gamma import PrecisionContext, RootSystemLabel, build_root_system
 from cartan_gamma.cli import default_battery
+
+
+@pytest.fixture(autouse=True)
+def no_process_outlives_its_test():
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

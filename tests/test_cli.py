@@ -3,8 +3,10 @@ import io
 import json
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest.mock import patch
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel, build_root_system,
-                          cli, gammawords, jacobi, psi_order, word_of_root_system)
+                          cli, complex_parameter_grid, cross_validate, gammawords, jacobi,
+                          psi_order, word_of_root_system)
 from cartan_gamma.cli import VERIFY_CHOICES, default_battery, main
 from cartan_gamma.rootkit import MAX_RANK
 
@@ -360,6 +363,35 @@ def test_selberg_oracle_error_in_a_worker_exits_2(capsys, monkeypatch, cpus):
     assert multiprocessing.active_children() == []
 
 
+class Interrupted(Exception):
+    pass
+
+
+def test_an_exception_in_the_caller_ends_the_pool_workers(monkeypatch, cpus):
+    # Ctrl-C or a timeout in the caller arrives while both workers are inside
+    # a point; leaving the pool must end them rather than wait for the point.
+    def alarm(signum, frame):
+        raise Interrupted
+
+    def slow_quad(*args, **kwargs):
+        time.sleep(2)
+        return mpf(1), mpf(1)
+
+    cpus(2)
+    monkeypatch.setattr(mp, "quad", slow_quad)  # before the fork: the workers sleep too
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        with pytest.raises(Interrupted):
+            cross_validate((), complex_parameter_grid()[:2], PrecisionContext(20))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 2
+    assert multiprocessing.active_children() == []
+
+
 def test_cli_import_loads_neither_numpy_nor_scipy():
     probe = ("import sys, cartan_gamma.cli; "
              "print(sorted({'numpy', 'scipy'} & set(sys.modules)))")
@@ -379,8 +411,8 @@ def test_cli_import_loads_no_process_pool():
 
 LABELS = ["A1", "A12", "B2", "C12", "D4", "E6", "E7", "E8", "F4", "G2", "e6", " D5 ", "A\u0663",
           "A0", "B1", "C1", "D2", "E5", "E9", "F5", "G3",
-          "H4", "A\u00b2", "", "E", "8", "EE", "A-1"]
-TOLS = ["1e-30", "1e-80", "0", "-1", "inf", "nan", "abc", ""]
+          "H4", "A\u00b2", "", "E", "8", "EE", "A-1", "\uff258", "A+3", " E8"]
+TOLS = ["1e-30", "1e-80", "0", "-1", "inf", "nan", "abc", "", "1e400", "1_0", "0x10"]
 TYPED = ("roots", "pf", "gamma", "words", "classify", "verify", "jacobi")
 
 

@@ -12,7 +12,8 @@ import cartan_gamma
 from cartan_gamma import (DomainError, GammaWord, InvalidRank, NotInC, PrecisionContext,
                           PrimeSite, RootSystemLabel, SearchExhausted, SelbergParams,
                           find_site, gamma, gamma_tilde, pf_power_iteration, psi_exponent,
-                          selberg_complex_closed, units)
+                          recognize_cyclotomic, selberg_complex_closed,
+                          selberg_complex_quadrature, selberg_real_closed, units)
 
 PACKAGE = Path(cartan_gamma.__file__).parent
 
@@ -49,6 +50,11 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
 HUGE = 10 ** 5000  # beyond Python's default int-to-str limit of 4,300 digits
 
 
+class Unprintable:
+    def __repr__(self):
+        raise RuntimeError("no text")
+
+
 @pytest.mark.parametrize("call,error,message", [
     (lambda: RootSystemLabel("A", HUGE), InvalidRank, "A<16610-bit integer>: rank must be in"),
     (lambda: RootSystemLabel.parse("A" + "9" * 4400), InvalidRank, "9: rank must be in 1..50"),
@@ -66,8 +72,32 @@ HUGE = 10 ** 5000  # beyond Python's default int-to-str limit of 4,300 digits
      r"inverse of \[\[<negative 16610-bit integer>\]\] is not entrywise positive"),
     (lambda: psi_exponent(GammaWord.from_coeffs(12, {1: HUGE}), find_site(12)), NotInC,
      r"word <16610-bit integer>\[1\] fails membership \(witness <16608-bit integer>/3\)"),
+    (lambda: SelbergParams([HUGE], 1, 0, 1), DomainError,
+     r"rational \(int or Fraction\), got \[<16610-bit integer>\]$"),
+    (lambda: selberg_real_closed(SelbergParams(-HUGE, 1, 0, 1), PrecisionContext()),
+     DomainError, r"real convergence domain: "
+     r"SelbergParams\(alpha=<negative 16610-bit integer>, beta=1, rho=0, n=1\)$"),
+    (lambda: selberg_complex_quadrature(SelbergParams(HUGE, 1, 0, 1), PrecisionContext()),
+     DomainError, r"integrability domain: SelbergParams\(alpha=<16610-bit integer>, "),
+    (lambda: GammaWord(12, (HUGE,)), DomainError, r"pairs, got \[<16610-bit integer>\]$"),
+    (lambda: GammaWord.from_coeffs(12, [HUGE]), DomainError,
+     r"to exponents, got \[<16610-bit integer>\]$"),
+    (lambda: PrecisionContext([HUGE]), DomainError,
+     r"precision must be an integer, got \[<16610-bit integer>\]$"),
+    (lambda: RootSystemLabel(HUGE, 3), InvalidRank, "unknown family <16610-bit integer>$"),
+    (lambda: RootSystemLabel.parse([HUGE]), InvalidRank,
+     r"root-system label \[<16610-bit integer>\]$"),
+    (lambda: pf_power_iteration([[2]], PrecisionContext(), tol=[HUGE]), DomainError,
+     r"tol must be finite and positive, got \[<16610-bit integer>\]$"),
+    (lambda: recognize_cyclotomic([HUGE], 12, ctx=PrecisionContext()), DomainError,
+     r"must be a finite number, got \[<16610-bit integer>\]$"),
+    (lambda: PrecisionContext(Unprintable()), DomainError,
+     r"must be an integer, got <[\w.]*Unprintable object at 0x[0-9a-f]+>$"),
 ], ids=["label", "label-parse", "precision", "prime-site", "units", "find-site", "word",
-        "gamma", "gamma-tilde", "selberg-pole", "pf-inverse", "word-witness"])
+        "gamma", "gamma-tilde", "selberg-pole", "pf-inverse", "word-witness",
+        "selberg-params", "selberg-real-domain", "selberg-complex-domain", "word-pairs",
+        "word-mapping", "precision-type", "label-family", "label-parse-type", "pf-tol",
+        "recognize-value", "unprintable"])
 def test_integers_too_long_for_str_get_typed_refusals(call, error, message):
     with pytest.raises(error, match=message):
         call()
