@@ -2,6 +2,7 @@
 and machine verification of their eigenvector, mass, algebraicity,
 character-sum, and integral-formula properties."""
 
+from types import ModuleType as _ModuleType
 from .errors import (CartanGammaError, DomainError, InvalidRank, NoConvergence,
                      NotARoot, NotAUnit, NotInC, PoleError, QuadratureNotConverged,
                      SearchExhausted)
@@ -20,8 +21,7 @@ from .selberg import (SelbergParams, complex_parameter_grid, cross_validate,
                       real_parameter_grid, selberg_complex_closed,
                       selberg_complex_quadrature, selberg_real_closed,
                       selberg_real_quadrature)
-from .specialfn import (PrecisionContext, gamma, gamma_tilde, pow_rat,
-                        trig_identities_suite)
+from .specialfn import PrecisionContext, gamma, pow_rat, trig_identities_suite
 from .spectra import (EigenResult, affine_gamma_vector, gamma_ratio_profile,
                       gamma_vector, lambda_min, mark_power_product,
                       mass_vector_closed_form, pf_power_iteration,
@@ -30,4 +30,5 @@ from .spectra import (EigenResult, affine_gamma_vector, gamma_ratio_profile,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -1,8 +1,8 @@
 """Command-line front end: construct, evaluate, verify, export.
 
 Exit codes: 0 when every requested check passes, 1 on verification
-failure, 2 on bad arguments.  All decimal output is rendered from the
-requested working precision, so repeated runs are byte-identical.
+failure, 2 on bad arguments, 130 on Ctrl-C.  Decimal output is rendered
+from the requested working precision, so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -387,6 +387,9 @@ def main(argv=None) -> int:
     except (CartanGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return code
 
 

@@ -42,7 +42,7 @@ from .errors import (DomainError, NotInC, SearchExhausted, require_finite, requi
 from .gammawords import GammaWord, classify, require_modulus
 from .specialfn import PrecisionContext
 
-# Largest prime a site may use, and find_site's default search cap.
+# Largest prime a site may use, and the end of find_site's search.
 MAX_PRIME = 10_000_000
 
 
@@ -94,17 +94,16 @@ class PrimeSite:
         return _least_primitive_root(self.p)
 
 
-def find_site(modulus: int, p_min: int = 2, cap: int = MAX_PRIME) -> PrimeSite:
+def find_site(modulus: int, p_min: int = 2) -> PrimeSite:
     """Smallest admissible prime site with p >= p_min."""
-    require_int(modulus, "modulus", minimum=2)
+    require_modulus(modulus)
     require_int(p_min, "p_min")
-    require_int(cap, "cap")
     start = max(p_min, 2)
-    for p in range(start + (1 - start) % modulus, cap + 1, modulus):
+    for p in range(start + (1 - start) % modulus, MAX_PRIME + 1, modulus):
         if _is_prime(p):
             return PrimeSite(modulus, p)
     raise SearchExhausted(f"no prime = 1 mod {show_int(modulus)} in "
-                          f"[{show_int(p_min)}, {show_int(cap)}]")
+                          f"[{show_int(p_min)}, {MAX_PRIME}]")
 
 
 def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
@@ -328,8 +327,8 @@ def _zeta_powers(n: int, digits: int):
         return tuple(mp.expjpi(mpf(2 * j) / n) for j in range(n))
 
 
-def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
-                         ctx: PrecisionContext | None = None):
+def recognize_cyclotomic(z, modulus: int, ctx: PrecisionContext, max_coeff: int = 1000,
+                         tol=None):
     """Integer coordinates of z over the power basis of the N-th cyclotomic
     integers, or None.
 
@@ -345,7 +344,6 @@ def recognize_cyclotomic(z, modulus: int, max_coeff: int = 1000, tol=None,
     """
     require_modulus(modulus, minimum=1)
     require_int(max_coeff, "max_coeff", minimum=0)
-    ctx = ctx or PrecisionContext()
     with ctx.working():
         tol = mpf(10) ** (-20) if tol is None else require_tolerance(tol)
         zetas = _zeta_powers(modulus, ctx.digits)[:len(_cyclotomic_polynomial(modulus)) - 1]

@@ -210,15 +210,18 @@ def cross_validate(real_grid, complex_grid, ctx: PrecisionContext):
     ``fork``, they run in this process.  The complex points are queued
     first, as each costs two to four real ones.  Pickling keeps every mpf
     bit for bit, and an oracle's CartanGammaError is raised again here.
-    Leaving the pool, with the results or any exception, terminates it."""
+    The workers ignore SIGINT, so Ctrl-C is answered here alone: leaving
+    the pool, with the results or any exception, terminates it."""
     import multiprocessing
+    import signal
 
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(real_grid) + len(complex_grid), cpus)
     if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
         complex_values = [selberg_complex_quadrature(p, ctx) for p in complex_grid]
         return [selberg_real_quadrature(p, ctx) for p in real_grid], complex_values
-    with multiprocessing.get_context("fork").Pool(workers) as pool:
+    with multiprocessing.get_context("fork").Pool(
+            workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
         complex_values = pool.starmap_async(
             selberg_complex_quadrature, [(p, ctx) for p in complex_grid], chunksize=1)
         real_values = pool.starmap_async(

@@ -1,6 +1,5 @@
-"""Arbitrary-precision numeric engine: Gamma, the ratio Gamma(x)/Gamma(1-x),
-rational powers, and a suite of exact trigonometric identities used as
-evaluator oracles.
+"""Arbitrary-precision numeric engine: Gamma, rational powers, and a suite
+of exact trigonometric identities used as evaluator oracles.
 
 All functions take an explicit :class:`PrecisionContext`.  Internally they
 run mpmath at the requested precision plus a fixed number of guard digits,
@@ -65,19 +64,6 @@ def gamma(x: Rational, ctx: PrecisionContext):
         raise DomainError(f"gamma argument must lie in (0, 2), got {show_int(q)}")
     with ctx.working():
         return mp.gamma(ctx.to_mpf(q))
-
-
-def gamma_tilde(x: Rational, ctx: PrecisionContext):
-    """Gamma(x)/Gamma(1-x) for rational x in (0, 1).
-
-    Satisfies gamma_tilde(x) * gamma_tilde(1-x) == 1.
-    """
-    q = require_rational(x)
-    if not 0 < q < 1:
-        raise DomainError(f"argument must lie in (0, 1), got {show_int(q)}")
-    with ctx.working():
-        v = ctx.to_mpf(q)
-        return mp.gamma(v) / mp.gamma(1 - v)
 
 
 def pow_rat(base, exponent: Rational, ctx: PrecisionContext):

@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from mpmath import mp, mpf
 
-from .errors import DomainError, NoConvergence, require_int, require_tolerance, show_int
+from .errors import DomainError, NoConvergence, require_tolerance, show_int
 from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
@@ -28,6 +28,7 @@ from .rootkit import RootSystem, RootSystemLabel
 from .specialfn import PrecisionContext, pow_rat
 
 SIMPLY_LACED = "ADE"
+MAX_ITERATIONS = 200_000  # pf_power_iteration's steps before NoConvergence
 
 
 def lambda_min(rs: RootSystem, ctx: PrecisionContext):
@@ -77,8 +78,7 @@ def _positive_inverse(cartan) -> list[list[Q]]:
     return inverse
 
 
-def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
-                       max_iterations: int = 200_000) -> EigenResult:
+def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None) -> EigenResult:
     """Strictly positive eigenvector of an irreducible finite-type Cartan
     matrix, for its smallest eigenvalue.
 
@@ -89,21 +89,23 @@ def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
     matrix has a simple dominant eigenvalue, here 1/lambda_min, with a
     positive eigenvector unique up to scale and no other eigenvalue of equal
     modulus; so the iteration converges to that vector, at the rate
-    lambda_min/lambda_2, and the check certifies its uniqueness.
-    Non-integer, singular, reducible and indefinite matrices raise DomainError,
-    as do a tol that is not a finite positive number and a max_iterations
-    that is not an int >= 1.  After the successive-iterate test passes,
-    iteration continues until the geometric error estimate drops below tol,
-    so the returned vector is accurate to tol, not merely Cauchy at tol.
+    lambda_min/lambda_2, and the check certifies its uniqueness.  The
+    paper's A' = I - A/2 is not iterated: its Dynkin diagram is a tree, so
+    D A' D = -A' for D = +-1 on the two colour classes, and -lambda_max(A')
+    is an eigenvalue of A' too, which power iteration on A' never separates.
+    Non-integer, singular, reducible and indefinite matrices raise
+    DomainError, as does a tol that is not a finite positive number.  After
+    the successive-iterate test passes, iteration continues until the
+    geometric error estimate drops below tol, so the returned vector is
+    accurate to tol, not merely Cauchy at tol.
     """
-    require_int(max_iterations, "max_iterations", minimum=1)
     inverse = _positive_inverse(cartan)
     with ctx.working():
         tol = mpf(10) ** (5 - ctx.digits) if tol is None else require_tolerance(tol)
         inverse = [[mpf(q.numerator) / q.denominator for q in row] for row in inverse]
         v = [mpf(1)] * len(cartan)
         diff = mpf(1)
-        for iterations in range(1, max_iterations + 1):
+        for iterations in range(1, MAX_ITERATIONS + 1):
             # fdot rounds each exact dot product once, so mirror-image rows
             # give bit-identical coordinates.
             w = [mp.fdot(row, v) for row in inverse]
@@ -116,7 +118,7 @@ def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None,
                 break
         else:
             raise NoConvergence(f"power iteration did not reach {tol} "
-                                f"in {max_iterations} iterations")
+                                f"in {MAX_ITERATIONS} iterations")
 
         av = [mp.fdot(row, v) for row in cartan]
         lam = av[-1]

@@ -367,15 +367,16 @@ class Interrupted(Exception):
     pass
 
 
+def slow_quad(*args, **kwargs):
+    time.sleep(2)
+    return mpf(1), mpf(1)
+
+
 def test_an_exception_in_the_caller_ends_the_pool_workers(monkeypatch, cpus):
     # Ctrl-C or a timeout in the caller arrives while both workers are inside
     # a point; leaving the pool must end them rather than wait for the point.
     def alarm(signum, frame):
         raise Interrupted
-
-    def slow_quad(*args, **kwargs):
-        time.sleep(2)
-        return mpf(1), mpf(1)
 
     cpus(2)
     monkeypatch.setattr(mp, "quad", slow_quad)  # before the fork: the workers sleep too
@@ -389,6 +390,47 @@ def test_an_exception_in_the_caller_ends_the_pool_workers(monkeypatch, cpus):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 2
+    assert multiprocessing.active_children() == []
+
+
+def run_interrupted(capsys, *argv):
+    """run(), where a KeyboardInterrupt leaving main fails this test alone."""
+    try:
+        return run(capsys, *argv)
+    except KeyboardInterrupt:
+        pytest.fail("KeyboardInterrupt escaped main")
+
+
+def test_ctrl_c_ends_a_command_with_an_error_line(capsys, monkeypatch):
+    def interrupt(args, ctx, tol):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "_cmd_roots", interrupt)
+    assert run_interrupted(capsys, "roots", "--type", "A2") == (130, "", "error: interrupted\n")
+
+
+def test_ctrl_c_in_selberg_ends_its_workers_and_exits_130(capfd, monkeypatch, cpus):
+    # The same alarm as above, through the command.  A terminal's Ctrl-C
+    # reaches the whole process group: the workers get SIGINT and, given
+    # time to print a traceback, must not; the caller gets KeyboardInterrupt.
+    def alarm(signum, frame):
+        for worker in multiprocessing.active_children():
+            os.kill(worker.pid, signal.SIGINT)
+        time.sleep(0.2)
+        raise KeyboardInterrupt
+
+    cpus(2)
+    monkeypatch.setattr(mp, "quad", slow_quad)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        code, out, err = run_interrupted(capfd, "selberg", "--grid", "2", "--digits", "20")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 2
+    assert (code, out, err) == (130, "", "error: interrupted\n")
     assert multiprocessing.active_children() == []
 
 

@@ -225,6 +225,37 @@ def test_gamma_ratio_equals_tilde_evaluation(ctx):
             assert abs(a - b) < mpf(10) ** -45
 
 
+def _word(modulus, residues):
+    """The word whose exponent at j counts j among residues, repeats added."""
+    coeffs = {}
+    for j in residues:
+        coeffs[j] = coeffs.get(j, 0) + 1
+    return GammaWord.from_coeffs(modulus, coeffs)
+
+
+def test_evaluate_meets_reflection_and_gauss_multiplication(ctx, battery):
+    # evaluate, through mp.loggamma, is the Gamma path that the gamma and
+    # verify 1.1 commands print; criterion 6 checks mp.gamma instead.
+    from cartan_gamma import build_root_system
+    relations = []
+    with ctx.working():
+        for n in sorted({build_root_system(label).h for label in battery}):
+            for j in range(1, n):
+                # Gamma(x) Gamma(1 - x) = pi / sin(pi x)
+                relations.append((_word(n, [j, n - j]), mp.pi / mp.sinpi(mpf(j) / n)))
+            for d in (d for d in range(2, n + 1) if n % d == 0):
+                for j in range(1, n // d):
+                    # prod_{i<d} Gamma(x + i/d) / Gamma(d x)
+                    #     = (2 pi)**((d - 1)/2) d**(1/2 - d x),  x = j/N < 1/d
+                    word = _word(n, [j + i * n // d for i in range(d)]) + -_word(n, [d * j])
+                    exact = ((2 * mp.pi) ** (mpf(d - 1) / 2)
+                             * mpf(d) ** (mpf(1) / 2 - mpf(d * j) / n))
+                    relations.append((word, exact))
+        worst = max(abs(evaluate(word, ctx) / exact - 1) for word, exact in relations)
+    assert len(relations) == 367
+    assert worst < mpf(10) ** -40
+
+
 def test_square_identity_per_word(ctx):
     with ctx.working():
         for text, i in (("E6", 1), ("B3", 3), ("G2", 2)):

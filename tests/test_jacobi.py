@@ -25,13 +25,13 @@ def test_find_site_examples():
     assert find_site(30).p == 31
     assert find_site(2, p_min=4).p == 5
     assert find_site(12, p_min=14).p == 37
-    with pytest.raises(SearchExhausted):
-        find_site(9973, p_min=2, cap=10_000)
     # The Gauss sweep's tables grow as N and N**2, so a site's modulus is
-    # bounded; find_site refuses only the site it finds, as above.
+    # bounded, and find_site refuses a larger one before it searches: no
+    # prime = 1 mod 999,983 lies below MAX_PRIME.
     assert find_site(1000).p == 3001
-    with pytest.raises(DomainError, match="exceeds MAX_MODULUS = 1000"):
-        find_site(1020)
+    for modulus in (1020, 9973, 999_983):
+        with pytest.raises(DomainError, match="exceeds MAX_MODULUS = 1000"):
+            find_site(modulus)
 
 
 def test_site_validation():
@@ -50,9 +50,8 @@ def test_site_validation():
         PrimeSite(12, 13, 3)
 
 
-@pytest.mark.parametrize("kwargs", [{"modulus": 12.0}, {"modulus": 12, "p_min": 13.5},
-                                    {"modulus": 12, "cap": 1e3}],
-                         ids=["float-modulus", "float-p-min", "float-cap"])
+@pytest.mark.parametrize("kwargs", [{"modulus": 12.0}, {"modulus": 12, "p_min": 13.5}],
+                         ids=["float-modulus", "float-p-min"])
 def test_find_site_rejects_non_integers(kwargs):
     with pytest.raises(DomainError, match="must be an integer"):
         find_site(**kwargs)
@@ -95,13 +94,13 @@ def test_site_for_prime_stops_at_max_prime():
     # bound, and 10**24 + 177 is one too; the range is checked before any
     # primality test.
     assert PrimeSite(12, 9_999_973) == find_site(12, p_min=9_999_973)
-    with pytest.raises(SearchExhausted):
+    with pytest.raises(SearchExhausted, match=r"\[9999974, 10000000\]$"):
         find_site(12, p_min=9_999_974)
     for p in (10_000_141, 10**24 + 177):
         with pytest.raises(DomainError, match="largest supported prime"):
             PrimeSite(12, p)
-        with pytest.raises(DomainError, match="largest supported prime"):
-            find_site(12, p_min=p, cap=p)
+        with pytest.raises(SearchExhausted):
+            find_site(12, p_min=p)
 
 
 def test_gauss_sum_magnitudes(ctx):
@@ -539,6 +538,8 @@ def test_recognize_cyclotomic(ctx):
                 recognize_cyclotomic(bad, 12, ctx=ctx)
         with pytest.raises(DomainError, match="must be a finite number"):
             recognize_cyclotomic("abc", 12, ctx=ctx)
+    with pytest.raises(TypeError):
+        recognize_cyclotomic(mpf(1), 12)  # the context has no default
 
 
 @pytest.mark.parametrize("modulus,max_coeff", [(12.0, 1000), (12, 1.5)],

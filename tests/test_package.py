@@ -11,7 +11,7 @@ import pytest
 import cartan_gamma
 from cartan_gamma import (DomainError, GammaWord, InvalidRank, NotInC, PrecisionContext,
                           PrimeSite, RootSystemLabel, SearchExhausted, SelbergParams,
-                          find_site, gamma, gamma_tilde, pf_power_iteration, psi_exponent,
+                          find_site, gamma, pf_power_iteration, psi_exponent,
                           recognize_cyclotomic, selberg_complex_closed,
                           selberg_complex_quadrature, selberg_real_closed, units)
 
@@ -29,6 +29,13 @@ def test_no_module_imports_a_private_name_from_a_sibling():
                 private += [f"{path.name}: {node.module}.{alias.name}"
                             for alias in node.names if alias.name.startswith("_")]
     assert private == []
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from cartan_gamma import *", namespace)
+    assert [name for name, value in namespace.items()
+            if type(value) is type(cartan_gamma) and name != "__builtins__"] == []
 
 
 def test_every_name_the_benchmark_tracer_wraps_exists():
@@ -64,7 +71,7 @@ class Unprintable:
     (lambda: find_site(12, p_min=HUGE), SearchExhausted, r"\[<16610-bit integer>, "),
     (lambda: GammaWord.from_coeffs(12, {HUGE: 1}), DomainError, "residue <16610-bit integer>"),
     (lambda: gamma(HUGE, PrecisionContext()), DomainError, r"\(0, 2\), got <16610-bit integer>$"),
-    (lambda: gamma_tilde(Fraction(1, HUGE) - 1, PrecisionContext()), DomainError,
+    (lambda: gamma(Fraction(1, HUGE) - 1, PrecisionContext()), DomainError,
      "got <negative 16610-bit integer>/<16610-bit integer>"),
     (lambda: selberg_complex_closed(SelbergParams(-HUGE, 1, 0, 1), PrecisionContext()),
      DomainError, "pole at argument <negative 16610-bit integer>"),
@@ -94,7 +101,7 @@ class Unprintable:
     (lambda: PrecisionContext(Unprintable()), DomainError,
      r"must be an integer, got <[\w.]*Unprintable object at 0x[0-9a-f]+>$"),
 ], ids=["label", "label-parse", "precision", "prime-site", "units", "find-site", "word",
-        "gamma", "gamma-tilde", "selberg-pole", "pf-inverse", "word-witness",
+        "gamma", "gamma-fraction", "selberg-pole", "pf-inverse", "word-witness",
         "selberg-params", "selberg-real-domain", "selberg-complex-domain", "word-pairs",
         "word-mapping", "precision-type", "label-family", "label-parse-type", "pf-tol",
         "recognize-value", "unprintable"])

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from cartan_gamma import (DomainError, PoleError, PrecisionContext, gamma,
-                          gamma_tilde, pow_rat, trig_identities_suite)
+from cartan_gamma import (DomainError, PoleError, PrecisionContext, gamma, pow_rat,
+                          trig_identities_suite)
 from cartan_gamma.specialfn import MAX_DIGITS
 
 
@@ -38,8 +38,6 @@ def test_gamma_domain(ctx):
         gamma(-3, ctx)
     with pytest.raises(DomainError):
         gamma(Q(5, 2), ctx)
-    with pytest.raises(DomainError):
-        gamma_tilde(Q(3, 2), ctx)
     with pytest.raises(DomainError, match="must be positive"):
         pow_rat(mpf(-2), Q(1, 2), ctx)
     for bad in (mp.nan, mp.inf, -mp.inf):
@@ -81,17 +79,6 @@ def test_multiplication_identity(ctx, n):
                    * mp.exp((-n * ctx.to_mpf(x) + mpf(1) / 2) * mp.log(n))
                    * gamma(n * x, ctx))
             assert abs(lhs / rhs - 1) < mpf(10) ** -40
-
-
-def test_gamma_tilde_symmetry(ctx):
-    with ctx.working():
-        for x in _random_fractions(100, seed=7):
-            assert abs(gamma_tilde(x, ctx) * gamma_tilde(1 - x, ctx) - 1) < ctx.tolerance
-            s_factor = mp.pi / mp.sinpi(ctx.to_mpf(x))
-            assert abs(s_factor - mp.pi / mp.sinpi(ctx.to_mpf(1 - x))) < ctx.tolerance
-            square = gamma(x, ctx) ** 2
-            assert abs(square - gamma_tilde(x, ctx) * s_factor) < ctx.tolerance * square
-        assert abs(gamma_tilde(Q(1, 2), ctx) - 1) < ctx.tolerance
 
 
 def test_s_factor_values(ctx):

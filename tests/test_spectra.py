@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 import pytest
 from mpmath import mp, mpf
 
+from cartan_gamma import spectra
 from cartan_gamma import (DomainError, NoConvergence, affine_cartan_matrix,
                           affine_gamma_vector, build_root_system,
                           gamma_ratio_profile, gamma_vector, lambda_min,
@@ -107,13 +108,9 @@ def test_power_iteration_rejects_non_finite_types(ctx, cartan):
 
 @pytest.mark.parametrize("kwargs", [
     {"tol": -1}, {"tol": 0}, {"tol": "abc"}, {"tol": float("nan")}, {"tol": mp.inf},
-    {"max_iterations": 1.5}, {"max_iterations": "3"}, {"max_iterations": 0},
-    {"max_iterations": -1},
-], ids=["negative-tol", "zero-tol", "str-tol", "nan-tol", "inf-tol", "float-iterations",
-        "str-iterations", "zero-iterations", "negative-iterations"])
+], ids=["negative-tol", "zero-tol", "str-tol", "nan-tol", "inf-tol"])
 def test_power_iteration_rejects_bad_tol_and_budget(ctx, kwargs):
     # A tol <= 0 can never be met: the loop would spend its whole budget.
-    # A budget below one step is refused, not reported as non-convergence.
     with pytest.raises(DomainError):
         pf_power_iteration(rs("A2").cartan, ctx, **kwargs)
 
@@ -132,9 +129,31 @@ def test_verifiers_reject_bad_tolerance(ctx, verify, tol):
         verify(rs("A2"), ctx, tol)
 
 
-def test_power_iteration_no_convergence(ctx):
-    with pytest.raises(NoConvergence):
-        pf_power_iteration(rs("E8").cartan, ctx, max_iterations=3)
+def test_power_iteration_no_convergence(ctx, monkeypatch):
+    assert spectra.MAX_ITERATIONS == 200_000
+    monkeypatch.setattr(spectra, "MAX_ITERATIONS", 3)
+    with pytest.raises(NoConvergence, match="in 3 iterations"):
+        pf_power_iteration(rs("E8").cartan, ctx)
+
+
+def test_two_colouring_negates_the_incidence_matrix(battery):
+    # B = 2I - A = 2A' has zero diagonal and its nonzero entries are the edges
+    # of the Dynkin diagram, a tree; with D = +-1 on the two colour classes,
+    # D B D = -B, so -lambda_max(A') is an eigenvalue of A' as well.
+    for label in battery:
+        cartan = build_root_system(label).cartan
+        n = len(cartan)
+        b = [[2 * (i == j) - cartan[i][j] for j in range(n)] for i in range(n)]
+        colour, stack = {0: 1}, [0]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if b[i][j] and j not in colour:
+                    colour[j] = -colour[i]
+                    stack.append(j)
+        assert len(colour) == n, label
+        assert all(colour[i] * b[i][j] * colour[j] == -b[i][j]
+                   for i in range(n) for j in range(n)), label
 
 
 def test_mass_closed_forms(ctx):
