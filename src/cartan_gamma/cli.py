@@ -1,7 +1,8 @@
 """Command-line front end: construct, evaluate, verify, export.
 
-Exit codes: 0 when every requested check passes, 1 on verification
-failure, 2 on bad arguments, 130 on Ctrl-C.  Decimal output is rendered
+A run depends on its arguments alone.  Exit codes: 0 unless the printed
+verdict is a failure, which is 1 (``main`` reads it off the payload's
+``pass``), 2 on bad arguments, 130 on Ctrl-C.  Decimal output is rendered
 from the requested working precision, so repeated runs are byte-identical.
 """
 
@@ -11,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from mpmath import mp, mpf
@@ -39,8 +39,6 @@ CHECKS = {
 }
 VERIFY_CHOICES = (*CHECKS, "all")
 
-ENV_DIGITS = "CARTAN_GAMMA_DIGITS"
-
 
 def default_battery() -> tuple[RootSystemLabel, ...]:
     """Classical families to rank 12 plus the exceptional types."""
@@ -51,8 +49,8 @@ def default_battery() -> tuple[RootSystemLabel, ...]:
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--digits", type=int, default=None,
-                        help=f"decimal working precision (default 50; env {ENV_DIGITS})")
+    common.add_argument("--digits", type=int, default=50,
+                        help="decimal working precision (default 50)")
     common.add_argument("--tol", default="1e-30",
                         help="verification tolerance (default 1e-30)")
     common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
@@ -101,22 +99,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_context(args) -> tuple[PrecisionContext, object]:
-    digits = args.digits
-    if digits is None:
-        digits = _number(int, os.environ.get(ENV_DIGITS, "50"), ENV_DIGITS)
-    ctx = PrecisionContext(digits)
+    ctx = PrecisionContext(args.digits)
     with ctx.working():
-        tol = _number(mpf, args.tol, "--tol")
+        try:
+            tol = mpf(args.tol)
+        except ValueError:
+            raise DomainError(f"--tol must be a number, got {args.tol!r}") from None
     if not (mp.isfinite(tol) and tol > 0):
         raise DomainError(f"--tol must be finite and positive, got {args.tol!r}")
     return ctx, tol
-
-
-def _number(convert, text: str, name: str):
-    try:
-        return convert(text)
-    except ValueError:
-        raise DomainError(f"{name} must be a number, got {text!r}") from None
 
 
 def _dec(x, ctx: PrecisionContext) -> str:
@@ -166,7 +157,7 @@ def _cmd_roots(args, ctx, tol):
     ]
     rows = [{"type": str(rs.label), "rank": rs.rank, "h": rs.h, "h_dual": rs.h_dual,
              "positive_roots": len(rs.positive_roots)}]
-    return payload, lines, rows, 0
+    return payload, lines, rows
 
 
 def _cmd_pf(args, ctx, tol):
@@ -188,7 +179,7 @@ def _cmd_pf(args, ctx, tol):
     rows = [{"type": str(rs.label), "lambda": decimal_string(result.eigenvalue, 30),
              "iterations": result.iterations,
              "residual": decimal_string(result.residual, 30)}]
-    return payload, lines, rows, 0
+    return payload, lines, rows
 
 
 def _cmd_gamma(args, ctx, tol):
@@ -212,7 +203,7 @@ def _cmd_gamma(args, ctx, tol):
     rows = [{"type": str(rs.label), "node": i + 1,
              "gamma": decimal_string(g[i], 30), "mass": decimal_string(masses[i], 30)}
             for i in range(rs.rank)]
-    return payload, lines, rows, 0
+    return payload, lines, rows
 
 
 def _cmd_words(args, ctx, tol):
@@ -225,7 +216,7 @@ def _cmd_words(args, ctx, tol):
         entries.append({"index": i, **w.to_json_dict(), "display": str(w)})
         lines.append(f"  f({rs.label},{i}) = {w}")
         rows.append({"type": str(rs.label), "index": i, "N": w.modulus, "word": str(w)})
-    return {"type": str(rs.label), "words": entries}, lines, rows, 0
+    return {"type": str(rs.label), "words": entries}, lines, rows
 
 
 def _cmd_classify(args, ctx, tol):
@@ -245,7 +236,7 @@ def _cmd_classify(args, ctx, tol):
         lines.append(f"      k = {v.k} ; antisymmetrized k = {vt.k}")
         rows.append({"type": str(rs.label), "index": i, "word": str(w),
                      "k": v.k, "tilde_k": vt.k})
-    return {"type": str(rs.label), "entries": entries}, lines, rows, 0
+    return {"type": str(rs.label), "entries": entries}, lines, rows
 
 
 def _cmd_verify(args, ctx, tol):
@@ -268,7 +259,7 @@ def _cmd_verify(args, ctx, tol):
     lines.append(f"{'ALL PASS' if all_pass else 'FAILURES PRESENT'} "
                  f"({len(reports)} reports)")
     rows = [_report_row(r) for r in reports]
-    return payload, lines, rows, 0 if all_pass else 1
+    return payload, lines, rows
 
 
 def _cmd_jacobi(args, ctx, tol):
@@ -308,7 +299,7 @@ def _cmd_jacobi(args, ctx, tol):
     lines.append(f"{'PASS' if ok else 'FAIL'}: worst unit-modulus residual "
                  f"{decimal_string(worst, 6)} (tol {decimal_string(tol, 6)})")
     payload = {"type": str(rs.label), "entries": entries, "pass": bool(ok)}
-    return payload, lines, rows, 0 if ok else 1
+    return payload, lines, rows
 
 
 def _cmd_selberg(args, ctx, tol):
@@ -334,7 +325,7 @@ def _cmd_selberg(args, ctx, tol):
                      f"rho={e['rho']:<5} n={e['n']}  rel error {e['rel_error']}")
     lines.append("PASS" if ok else "FAIL")
     rows = [dict(e) for e in entries]
-    return {"entries": entries, "pass": bool(ok)}, lines, rows, 0 if ok else 1
+    return {"entries": entries, "pass": bool(ok)}, lines, rows
 
 
 def _selberg_entry(case, params, closed, quadrature, rel, ctx):
@@ -355,7 +346,7 @@ def _cmd_identities(args, ctx, tol):
     for name, res in zip(report.labels, report.residuals):
         lines.append(f"  {name:<32} residual {decimal_string(res, 6)}")
     rows = [_report_row(report)]
-    return payload, lines, rows, 0 if report.passed else 1
+    return payload, lines, rows
 
 
 def _emit(args, payload, lines, rows) -> None:
@@ -382,7 +373,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         ctx, tol = _resolve_context(args)
-        payload, lines, rows, code = args.run(args, ctx, tol)
+        payload, lines, rows = args.run(args, ctx, tol)
         _emit(args, payload, lines, rows)
     except (CartanGammaError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -390,7 +381,7 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 130
-    return code
+    return 0 if payload.get("pass", True) else 1
 
 
 if __name__ == "__main__":

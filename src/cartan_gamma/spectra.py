@@ -226,7 +226,6 @@ def mark_power_product(rs: RootSystem) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
 def affine_gamma_vector(rs: RootSystem, ctx: PrecisionContext) -> tuple:
     """Reflection-ratio vector over all r+1 affine nodes.
 
