@@ -30,8 +30,14 @@ against the stated tolerance.
 
 from __future__ import annotations
 
+import marshal
+import os
+import threading
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 
 from mpmath import mp, mpf
@@ -44,6 +50,13 @@ from .specialfn import PrecisionContext
 
 # Largest prime a site may use, and the end of find_site's search.
 MAX_PRIME = 10_000_000
+# Sweeps of fewer steps stay in one process: forking the root producer costs
+# a few milliseconds, which shorter sweeps do not win back (the two break
+# even near 300 steps at 20 digits and N = 12 on a 2-core x86-64 machine).
+_PRODUCER_MIN_STEPS = 400
+# Roots per pipe record: smaller records cost more writes and reads, larger
+# ones keep the caller waiting longer for the first.
+_ROOTS_PER_RECORD = 32
 
 
 def _is_prime(n: int) -> bool:
@@ -121,6 +134,14 @@ def gauss_sum(j: int, site: PrimeSite, ctx: PrecisionContext,
     product per distinct j m mod N.  The sums and products run on integer
     mantissas, rounded as mpmath rounds them, so each sum has the bits of
     its own mpc loop.  Later calls read the memo.
+
+    With a second usable CPU, a forked process computes the roots in order
+    and streams them to this one, which adds them as they arrive and, while
+    none is waiting, computes roots from the far end itself; the sums keep
+    every bit.  The sweep stays in this process when it has fewer than
+    _PRODUCER_MIN_STEPS = 400 steps, on one CPU, without fork, or while
+    another thread runs.  The producer ends before the call returns or
+    raises.
     """
     require_int(j, "residue")
     j %= site.modulus
@@ -143,8 +164,10 @@ def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
     # zeta_N**(j m) = 1, i, -1 or -i, mpc_mul's exact products leave a swap
     # of the root's parts and signs, taken directly.  _add rounds each part
     # of each total as mpf_add does.  Each sum thus sees the terms, order and
-    # roundings of its own loop, bit for bit.  Index j holds the sum for j/N;
-    # index 0 is unused.
+    # roundings of its own loop, bit for bit.  The roots need nothing from
+    # earlier steps, so _root_stream may compute them on the second core
+    # while this loop adds; they are the same roots either way.  Index j
+    # holds the sum for j/N; index 0 is unused.
     n, p, g = site.modulus, site.p, site.generator
     with ctx.working():
         prec = mp.prec
@@ -159,22 +182,150 @@ def _gauss_values(site: PrimeSite, ctx: PrecisionContext, scale: int) -> tuple:
             period = n // gcd(step, n)
             plans.append([(quarter.get(zeta_n[k]), zeta_n[k])
                           for k in (t * step % n for t in range(1, period + 1))])
-        p_mpf = from_int(p)
         re, im = [(0, 0)] * (n - 1), [(0, 0)] * (n - 1)
-        x = 1
-        for m in range(p - 1):
-            root = c, s = tuple(map(_pair, mpf_cos_sin_pi(
-                mpf_div(from_int(2 * ((scale * x) % p)), p_mpf, prec, "n"), prec, "n")))
-            nc, ns = (-c[0], c[1]), (-s[0], s[1])
-            turns = root, (ns, c), (nc, ns), (s, nc)
-            plan = plans[m % n]
-            terms = [_mul(zeta, root, prec) if turn is None else turns[turn]
-                     for turn, zeta in plan] * (n // len(plan))
-            re = [_add(total, a, prec) for total, (a, _) in zip(re, terms)]
-            im = [_add(total, b, prec) for total, (_, b) in zip(im, terms)]
-            x = (x * g) % p
+        with _root_stream(p, g, scale, prec) as roots:
+            for m, root in enumerate(roots):
+                c, s = root
+                nc, ns = (-c[0], c[1]), (-s[0], s[1])
+                turns = root, (ns, c), (nc, ns), (s, nc)
+                plan = plans[m % n]
+                terms = [_mul(zeta, root, prec) if turn is None else turns[turn]
+                         for turn, zeta in plan] * (n // len(plan))
+                re = [_add(total, a, prec) for total, (a, _) in zip(re, terms)]
+                im = [_add(total, b, prec) for total, (_, b) in zip(im, terms)]
         return (None, *(-mp.make_mpc((from_man_exp(*a), from_man_exp(*b)))
                         for a, b in zip(re, im)))
+
+
+def _root(x: int, p: int, scale: int, prec: int) -> tuple:
+    """e(c x / p) as the pair of (mantissa, exponent) pairs of the value
+    mp.expjpi(mpf(2 (c x mod p)) / p) takes at prec bits."""
+    return tuple(map(_pair, mpf_cos_sin_pi(
+        mpf_div(from_int(2 * ((scale * x) % p)), from_int(p), prec, "n"), prec, "n")))
+
+
+def _roots(p: int, g: int, scale: int, prec: int):
+    """The sweep's roots e(c x / p), x = g**m, for m = 0 .. p - 2 in order."""
+    x = 1
+    for _ in range(p - 1):
+        yield _root(x, p, scale, prec)
+        x = (x * g) % p
+
+
+@contextmanager
+def _root_stream(p: int, g: int, scale: int, prec: int):
+    """_roots(p, g, scale, prec), shared with a forked producer when a
+    second CPU is free for it (see _received), else computed in this
+    process.  Leaving the block, however it is left, kills and reaps the
+    producer."""
+    import signal
+
+    producer = None
+    try:
+        if _producer_pays(p - 1):
+            # No signal handler runs from before the fork until each process
+            # is inside the block that ends it: in the producer a handler's
+            # exception would unwind into the caller's stack, here it would
+            # lose the pid.  A handler already due runs inside the blocking
+            # call, before the fork; the mask is restored either way.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+            try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+                producer = _start_producer(mask, p, g, scale, prec)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        yield _received(producer[1], p, g, scale, prec) if producer else _roots(p, g, scale, prec)
+    finally:
+        if producer:
+            pid, read = producer
+            try:
+                signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+            finally:
+                os.close(read)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _start_producer(mask, p: int, g: int, scale: int, prec: int):
+    """(pid, read end) of a forked producer of _roots(p, g, scale, prec), or
+    None when the pipe or the fork fails.  The caller blocks every signal
+    around this call; the producer never returns from it."""
+    try:
+        read, write = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        pid = None
+    if pid == 0:
+        _produce(read, write, mask, p, g, scale, prec)
+    os.close(write)
+    if not pid:
+        os.close(read)
+        return None
+    return pid, read
+
+
+def _producer_pays(steps: int) -> bool:
+    """Whether a forked producer can shorten a sweep of this many steps: it
+    needs fork, a second usable CPU, no other thread in this process (fork
+    copies only the calling one) and a sweep longer than a fork costs."""
+    return (steps >= _PRODUCER_MIN_STEPS and hasattr(os, "fork")
+            and threading.active_count() == 1 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1)
+
+
+def _produce(read: int, write: int, mask, p: int, g: int, scale: int, prec: int):
+    """The forked producer's whole life: it ignores SIGINT, which a
+    terminal's Ctrl-C sends to the caller too, writes the roots in order of
+    m, _ROOTS_PER_RECORD to a length-prefixed marshal record, and ends with
+    os._exit on every path.  Should the caller die, the next write fails
+    with EPIPE and ends it."""
+    import signal
+
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        os.close(read)
+        roots = _roots(p, g, scale, prec)
+        while chunk := list(islice(roots, _ROOTS_PER_RECORD)):
+            record = marshal.dumps(chunk)
+            data = len(record).to_bytes(4, "little") + record
+            while data:
+                data = data[os.write(write, data):]
+    finally:
+        os._exit(0)
+
+
+def _received(read: int, p: int, g: int, scale: int, prec: int):
+    """The roots in order of m, from the producer's records as they arrive.
+    While no record is waiting, this process computes roots itself from the
+    far end, m = p - 2 downward, so that it never idles; the sweep's roots
+    are all known once the two ends meet.  Should the stream end first,
+    with or without a record cut short, the roots left are computed here."""
+    import select
+
+    data, records, tail = bytearray(), deque(), []
+    m, end, streaming = 0, p - 1, True
+    while m < end:
+        if not records and len(data) >= 4:
+            size = int.from_bytes(data[:4], "little")
+            if len(data) >= 4 + size:
+                records.extend(marshal.loads(data[4:4 + size]))
+                del data[:4 + size]
+        if records or not streaming:
+            yield records.popleft() if records else _root(pow(g, m, p), p, scale, prec)
+            m += 1
+        elif not select.select([read], [], [], 0)[0]:
+            end -= 1
+            tail.append(_root(pow(g, end, p), p, scale, prec))
+        else:
+            chunk = os.read(read, 1 << 16)
+            data += chunk
+            streaming = bool(chunk)
+    yield from reversed(tail)
 
 
 def _pair(value: tuple) -> tuple[int, int]:

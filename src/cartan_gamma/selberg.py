@@ -101,9 +101,9 @@ def _jacobi_weighted(p, q, g=lambda x: 1):
     return head / p + tail / q, e_head / p + e_tail / q
 
 
-def _converged(value, err):
-    """The value, unless the error estimate exceeds 1e-5 of it."""
-    if err > mpf("1e-5") * abs(value):
+def _converged(value, err, ctx: PrecisionContext):
+    """The value, unless the error estimate exceeds ctx.tolerance of it."""
+    if err > ctx.tolerance * abs(value):
         raise QuadratureNotConverged(f"estimated quadrature error {err} too large")
     return value
 
@@ -114,7 +114,7 @@ def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext):
     n = 2 the square folds onto x = y*u < y and Euler's integral does the
     u-integral: 2 B(a, 2r+1) int_0^1 y**(2a+2r-1) (1-y)**(b-1)
     2F1(1-b, a; a+2r+1; y) dy.  Raises QuadratureNotConverged when the
-    propagated error estimate exceeds 1e-5 of the value."""
+    propagated error estimate exceeds ctx.tolerance of the value."""
     params.require_real_domain()
     if params.n not in (1, 2):
         raise DomainError(f"quadrature oracle covers n in {{1, 2}}, got n={show_int(params.n)}")
@@ -127,7 +127,7 @@ def selberg_real_quadrature(params: SelbergParams, ctx: PrecisionContext):
             outer, e_outer = _jacobi_weighted(
                 2 * a + 2 * r, b, lambda y: mp.hyp2f1(1 - b, a, a + 2 * r + 1, y))
             value, err = 2 * beta * outer, 2 * (e_beta * abs(outer) + e_outer * abs(beta))
-        return _converged(value, err)
+        return _converged(value, err, ctx)
 
 
 def _ratio_factors(params: SelbergParams) -> Counter:
@@ -182,7 +182,7 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
     Beta-weighted integral.  Both integrals take their tails over the same
     nodes, so they share one table of 2F1 values, keyed on the node and the
     working precision mp.quad sets.  Raises QuadratureNotConverged when the
-    error estimate exceeds 1e-5 of the value.
+    error estimate exceeds ctx.tolerance of the value.
     """
     if params.n != 1:
         raise DomainError(f"complex quadrature oracle covers n = 1, got n={show_int(params.n)}")
@@ -200,7 +200,7 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
 
         (head, e_head), (tail, e_tail) = (_jacobi_weighted(p, 2 * b, hyp)
                                           for p in (a, 1 - a - b))
-        return mp.pi * _converged(head + tail, e_head + e_tail)
+        return mp.pi * _converged(head + tail, e_head + e_tail, ctx)
 
 
 def cross_validate(real_grid, complex_grid, ctx: PrecisionContext):

@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 from fractions import Fraction
 from typing import Iterable
 
@@ -12,6 +13,35 @@ from cartan_gamma.cli import default_battery
 def no_process_outlives_its_test():
     yield
     assert multiprocessing.active_children() == []
+    # active_children sees only multiprocessing's children, not a raw fork's;
+    # a child left running or unreaped makes waitpid return instead of raise.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPUs the process may run on: the oracle pool's size, and
+    whether a Gauss sweep forks its root producer."""
+    def use(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+    return use
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids that os.fork returns to this process, in order."""
+    pids = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -332,14 +332,6 @@ def test_commands_in_one_interpreter_print_what_they_print_alone(capsys):
     assert in_process == alone
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPUs the process may run on, hence the oracle pool's size."""
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return use
-
-
 # json prints every oracle value to full digits; text and csv render the same
 # values, and test_fixed_argument_output_keeps_its_bytes pins all three for selberg.
 @pytest.mark.parametrize("fmt", ["json"])
@@ -350,6 +342,18 @@ def test_selberg_prints_the_same_bytes_with_and_without_the_pool(capsys, cpus, f
     cpus(1)
     assert run(capsys, *argv) == pooled
     assert pooled[0] == 0
+
+
+def test_jacobi_prints_the_same_bytes_with_and_without_the_root_producer(capsys, cpus, forks):
+    argv = ["jacobi", "--type", "E6", "--prime", "2017", "--format", "json"]
+    printed = []
+    for n in (1, 2):
+        cpus(n)
+        jacobi._gauss_values.cache_clear()
+        printed.append(run(capsys, *argv))
+    assert printed[0] == printed[1]
+    assert printed[0][0] == 0
+    assert len(forks) == 1
 
 
 def test_selberg_oracle_error_in_a_worker_exits_2(capsys, monkeypatch, cpus):
@@ -431,6 +435,32 @@ def test_ctrl_c_in_selberg_ends_its_workers_and_exits_130(capfd, monkeypatch, cp
     assert time.monotonic() - start < 2
     assert (code, out, err) == (130, "", "error: interrupted\n")
     assert multiprocessing.active_children() == []
+
+
+def test_ctrl_c_in_jacobi_ends_its_root_producer_and_exits_130(capfd, monkeypatch, cpus, forks):
+    # As above for a sweep of seconds: the producer gets SIGINT and, given
+    # time to print a traceback, must not; the caller gets KeyboardInterrupt.
+    def alarm(signum, frame):
+        for pid in forks:
+            os.kill(pid, signal.SIGINT)
+        time.sleep(0.2)
+        raise KeyboardInterrupt
+
+    site = jacobi.find_site(12, 100_000)
+    jacobi._gauss_values.cache_clear()
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    start = time.monotonic()
+    try:
+        code, out, err = run_interrupted(capfd, "jacobi", "--type", "E6", "--prime",
+                                         str(site.p), "--digits", "20")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 2
+    assert (code, out, err) == (130, "", "error: interrupted\n")
+    assert len(forks) == 1
 
 
 def test_cli_import_loads_neither_numpy_nor_scipy():

@@ -1,4 +1,8 @@
 import dataclasses
+import os
+import signal
+import threading
+import time
 from fractions import Fraction as Q
 from math import gcd
 
@@ -205,6 +209,131 @@ def test_one_sweep_evaluates_each_additive_character_once(monkeypatch):
     for i in range(1, system.rank + 1):
         hecke_value(word_of_root_system(system, i), site, ctx)
     assert 0 < calls[0] <= (site.p - 1) + site.modulus
+
+
+def _sweep(site, ctx, scale=1):
+    """The raw parts of every sum of one fresh sweep."""
+    jacobi._gauss_values.cache_clear()
+    return [z._mpc_ for z in jacobi._gauss_values(site, ctx, scale)[1:]]
+
+
+@pytest.mark.parametrize("digits", [20, 50, 80])
+@pytest.mark.parametrize("modulus,p,scale", [(12, 2017, 1), (12, 2017, 7), (12, 2029, 1),
+                                             (12, 2029, 7), (30, 1201, 1)])
+def test_gauss_sweep_has_the_same_bits_on_one_cpu_and_on_two(cpus, forks, modulus, p, scale,
+                                                             digits):
+    # On two CPUs a forked producer computes the roots; the sums keep every bit.
+    site, ctx = PrimeSite(modulus, p), PrecisionContext(digits)
+    cpus(1)
+    serial = _sweep(site, ctx, scale)
+    assert forks == []
+    cpus(2)
+    assert _sweep(site, ctx, scale) == serial
+    assert len(forks) == 1
+
+
+def test_gauss_sweep_stays_serial_while_another_thread_runs(cpus, forks):
+    # fork would copy this thread alone, whatever the other one holds.
+    site, ctx = PrimeSite(12, 2017), PrecisionContext(20)
+    cpus(1)
+    serial = _sweep(site, ctx)
+    cpus(2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert _sweep(site, ctx) == serial
+    finally:
+        stop.set()
+        other.join(timeout=5)
+    assert not other.is_alive()
+    assert forks == []
+
+
+@pytest.mark.parametrize("failure", ["raise", "kill", "cut"])
+def test_a_failed_root_producer_never_yields_partial_sums(monkeypatch, cpus, forks, failure):
+    # The producer stops after 100 roots: by an exception, by SIGKILL, or
+    # in the middle of a record.  This process computes the rest itself.
+    site, ctx = PrimeSite(12, 2029), PrecisionContext(20)
+    cpus(1)
+    serial = _sweep(site, ctx)
+    parent, cos_sin_pi, calls = os.getpid(), jacobi.mpf_cos_sin_pi, [0]
+
+    def failing_cos_sin_pi(*args):
+        if os.getpid() != parent:
+            calls[0] += 1
+            if calls[0] > 100 and failure == "raise":
+                raise RuntimeError("producer failed")
+            if calls[0] > 100 and failure == "kill":
+                os.kill(os.getpid(), signal.SIGKILL)
+        return cos_sin_pi(*args)
+
+    def cut_write(fd, data):
+        if os.getpid() != parent and calls[0] > 100:
+            write(fd, data[:len(data) // 2])
+            os._exit(0)
+        return write(fd, data)
+
+    write = os.write
+    monkeypatch.setattr(jacobi, "mpf_cos_sin_pi", failing_cos_sin_pi)
+    if failure == "cut":
+        monkeypatch.setattr(os, "write", cut_write)
+    cpus(2)
+    assert _sweep(site, ctx) == serial
+    assert len(forks) == 1
+
+
+class Interrupted(Exception):
+    pass
+
+
+def test_an_alarm_during_a_sweep_ends_its_producer(cpus, forks):
+    # A sweep of seconds: the caller's exception must kill and reap the
+    # producer rather than wait for it.
+    def alarm(signum, frame):
+        raise Interrupted
+
+    site, ctx = find_site(12, 100_000), PrecisionContext(20)
+    jacobi._gauss_values.cache_clear()
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.3)
+    start = time.monotonic()
+    try:
+        with pytest.raises(Interrupted):
+            gauss_sum(1, site, ctx)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 2
+    assert len(forks) == 1
+
+
+@pytest.mark.parametrize("blocking", [1, 2], ids=["before-fork", "before-reap"])
+def test_a_handler_raising_as_signals_are_blocked_leaves_the_mask_and_no_producer(
+        monkeypatch, cpus, forks, blocking):
+    # A handler already due runs inside pthread_sigmask once the mask has
+    # changed.  Raising there, before the fork or before the reaping, must
+    # leave the caller's mask as it was and no producer behind.
+    site, ctx = PrimeSite(12, 2017), PrecisionContext(20)
+    sigmask, calls = signal.pthread_sigmask, [0]
+
+    def due_handler(how, mask):
+        previous = sigmask(how, mask)
+        if how == signal.SIG_BLOCK and set(mask) == signal.valid_signals():
+            calls[0] += 1
+            if calls[0] == blocking:
+                raise Interrupted
+        return previous
+
+    before = sigmask(signal.SIG_BLOCK, ())
+    monkeypatch.setattr(signal, "pthread_sigmask", due_handler)
+    cpus(2)
+    with pytest.raises(Interrupted):
+        _sweep(site, ctx)
+    monkeypatch.undo()
+    assert sigmask(signal.SIG_BLOCK, ()) == before
+    assert len(forks) == blocking - 1
 
 
 def _working_bits(digits):

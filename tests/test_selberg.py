@@ -112,6 +112,26 @@ def test_quadrature_convergence_guard(ctx, monkeypatch, oracle, params):
         oracle(params, ctx)
 
 
+@pytest.mark.parametrize("digits", [20, 50, 80])
+@pytest.mark.parametrize("oracle,params", [
+    (selberg_real_quadrature, SelbergParams(Q(1, 2), Q(3, 2), 0, 1)),
+    (selberg_complex_quadrature, SelbergParams(Q(1, 3), Q(1, 4), 0, 1)),
+], ids=["real", "complex"])
+def test_quadrature_guard_follows_the_working_precision(monkeypatch, oracle, params, digits):
+    # Each rule returns 1 with error estimate e, so the oracle's propagated
+    # estimate is e times its value: it passes up to ctx.tolerance, not beyond.
+    ctx = PrecisionContext(digits)
+    for factor, converges in ((1 - mpf(10) ** -10, True), (1 + mpf(10) ** -10, False)):
+        with ctx.working():
+            err = ctx.tolerance * factor
+        monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: (mpf(1), err))
+        if converges:
+            oracle(params, ctx)
+        else:
+            with pytest.raises(QuadratureNotConverged):
+                oracle(params, ctx)
+
+
 def test_complex_closed_n1(ctx):
     with ctx.working():
         p = SelbergParams(Q(1, 4), Q(1, 4), 0, 1)
