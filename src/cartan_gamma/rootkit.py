@@ -95,6 +95,18 @@ def _diagram(label: RootSystemLabel) -> tuple[list[tuple[int, int]], list[int]]:
     return bonds.get(fam, chain), lengths.get(fam, [1] * n)
 
 
+def cover(label: RootSystemLabel) -> tuple[tuple[str, int], tuple[int, ...]]:
+    """Simply laced (family, rank) whose diagram folds onto this type, and
+    the 0-based cover node of each node here; A, D and E cover themselves.
+    Folding fixes the cover's Perron-Frobenius vector, and its values on these
+    nodes form this type's (Olive and Turok, Nucl. Phys. B 215, 1983).  The
+    rank may exceed MAX_RANK: C50 folds A99."""
+    fam, n = label.family, label.rank
+    covers = {"B": ("D", n + 1), "C": ("A", 2 * n - 1), "F": ("E", 6), "G": ("D", 4)}
+    nodes = {"F": (1, 3, 2, 0), "G": (0, 1)}.get(fam, tuple(range(n)))
+    return covers.get(fam, (fam, n)), nodes
+
+
 def _exact(num: int, den: int, what: str) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:

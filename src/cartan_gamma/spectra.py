@@ -3,7 +3,8 @@
 Three independent routes to the same positive vector are cross-checked:
 
 * power iteration on the exact, entrywise-positive inverse Cartan matrix,
-* the classical closed-form mass vectors, type by type,
+* the classical closed-form mass vectors: closed forms on A, D and E,
+  folded types through ``rootkit.cover``,
 * the Gamma-product vector evaluated from the exponent words.
 
 The affine verifier compares the reflection-ratio vector against the
@@ -24,10 +25,9 @@ from .gammawords import (classify, evaluate, evaluate_gamma_ratio,
                          evaluate_sine_product, pairing_height_sum, tilde,
                          word_of_root_system)
 from .reports import VerificationReport
-from .rootkit import RootSystem, RootSystemLabel
+from .rootkit import RootSystem, RootSystemLabel, build_root_system, cover
 from .specialfn import PrecisionContext, pow_rat
 
-SIMPLY_LACED = "ADE"
 MAX_ITERATIONS = 200_000  # pf_power_iteration's steps before NoConvergence
 
 
@@ -128,14 +128,10 @@ def pf_power_iteration(cartan, ctx: PrecisionContext, tol=None) -> EigenResult:
 
 
 @lru_cache(maxsize=None)
-def mass_vector_closed_form(rs: RootSystem, ctx: PrecisionContext) -> tuple:
-    """Classical closed-form positive eigenvector, in plate node order.
-
-    For the two classical families with a short/long fork the customary
-    normalization carries a factor 2 on the sine coordinates and value 1 on
-    the terminal node(s).
-    """
-    fam, n = rs.label.family, rs.rank
+def _closed_forms(label: RootSystemLabel, ctx: PrecisionContext) -> tuple:
+    """Masses, constant c and profile, with pi * (Gamma vector) = c * profile:
+    the closed forms of the cover, read on the type's nodes."""
+    (fam, n), nodes = cover(label)
     with ctx.working():
         def sp(num, den):
             return mp.sinpi(mpf(num) / den)
@@ -143,32 +139,50 @@ def mass_vector_closed_form(rs: RootSystem, ctx: PrecisionContext) -> tuple:
         def cp(num, den):
             return mp.cospi(mpf(num) / den)
 
+        s3 = mp.sqrt(3)
+        if label.family == "G":  # D4's rows differ from G2's in the last bit at some digits
+            return (mpf(1), s3), pow_rat(2, Q(-2, 3), ctx), (mpf(1), s3)
         if fam == "A":
-            v = [sp(a, n + 1) for a in range(1, n + 1)]
-        elif fam == "B":
-            v = [2 * sp(a, 2 * n) for a in range(1, n)] + [mpf(1)]
-        elif fam == "C":
-            v = [sp(a, 2 * n) for a in range(1, n + 1)]
+            v, c = [sp(a, n + 1) for a in range(1, n + 1)], mpf(1)
         elif fam == "D":
             v = [2 * sp(a, 2 * n - 2) for a in range(1, n - 1)] + [mpf(1), mpf(1)]
-        elif fam == "G":
-            v = [mpf(1), mp.sqrt(3)]
-        elif fam == "F":
-            s3 = mp.sqrt(3)
-            v = [mp.sqrt(2), s3 + 1, (s3 + 1) / mp.sqrt(2), mpf(1)]
-        elif fam == "E" and n == 6:
-            s3 = mp.sqrt(3)
+            c = pow_rat(2, Q(1, n - 1), ctx)
+        elif n == 6:  # E6
             v = [mpf(1), mp.sqrt(2), (s3 + 1) / mp.sqrt(2), s3 + 1,
                  (s3 + 1) / mp.sqrt(2), mpf(1)]
-        elif fam == "E" and n == 7:
+            c = (pow_rat(2, Q(-5, 4), ctx) * pow_rat(3, Q(1, 8), ctx)
+                 * pow_rat(s3 - 1, Q(1, 2), ctx))
+        elif n == 7:  # E7
             v = [2 * cp(5, 18), 2 * cp(1, 9), 4 * cp(1, 18) * cp(5, 18),
                  4 * cp(1, 18) * cp(1, 9), 4 * cp(1, 9) * cp(2, 9),
                  2 * cp(1, 18), mpf(1)]
+            c = pow_rat(2, Q(1, 9), ctx) * pow_rat(3, Q(-1, 6), ctx) * sp(1, 9)
         else:  # E8
             v = [2 * cp(1, 5), 4 * cp(1, 5) * cp(7, 30), 4 * cp(1, 5) * cp(1, 30),
                  8 * cp(1, 5) ** 2 * cp(2, 15), 8 * cp(1, 5) ** 2 * cp(7, 30),
                  4 * cp(1, 5) * cp(2, 15), 2 * cp(1, 30), mpf(1)]
-        return tuple(v)
+            # No standalone closed form is quoted for E8's constant; derive it
+            # from the square identity Gamma(f)^2 = (sine product) * (ratio
+            # product) with the exact ratio value 2**(2/15) 3**(-2/5) 5**(-1/6)
+            # at the terminal node.  Both factors are algebraic, so c is too.
+            f_last = word_of_root_system(build_root_system(RootSystemLabel("E", 8)), 8)
+            ratio = (pow_rat(2, Q(2, 15), ctx) * pow_rat(3, Q(-2, 5), ctx)
+                     * pow_rat(5, Q(-1, 6), ctx))
+            c = mp.sqrt(mp.pi ** 2 * evaluate_sine_product(f_last, ctx) * ratio)
+        masses = tuple(v[k] for k in nodes)
+        return masses, c, tuple(m / 2 for m in masses) if fam == "D" else masses
+
+
+def mass_vector_closed_form(rs: RootSystem, ctx: PrecisionContext) -> tuple:
+    """Classical closed-form positive eigenvector, in plate node order; B and
+    D carry a factor 2 on the sine coordinates and 1 on the terminal node(s)."""
+    return _closed_forms(rs.label, ctx)[0]
+
+
+def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
+    """Exact algebraic constant c and profile with pi * (Gamma vector) =
+    c * profile.  B and D halve the masses, so c is twice pi*Gamma_i/mass_i."""
+    return _closed_forms(rs.label, ctx)[1:]
 
 
 @lru_cache(maxsize=None)
@@ -176,46 +190,6 @@ def gamma_vector(rs: RootSystem, ctx: PrecisionContext) -> tuple:
     """Gamma-product value of every simple index's exponent word."""
     return tuple(evaluate(word_of_root_system(rs, i), ctx)
                  for i in range(1, rs.rank + 1))
-
-
-@lru_cache(maxsize=None)
-def gamma_ratio_profile(rs: RootSystem, ctx: PrecisionContext):
-    """Exact algebraic constant c and coordinate profile so that
-    pi * (Gamma vector) = c * profile, per the per-type closed forms.
-
-    For the B and D families the customary mass vector is twice this
-    profile (its sine coordinates appear without the factor 2 and the
-    terminal coordinates as 1/2), so c differs from pi*Gamma_i/mass_i by
-    that global factor 2.
-    """
-    fam, n = rs.label.family, rs.rank
-    with ctx.working():
-        masses = mass_vector_closed_form(rs, ctx)
-        if fam in ("A", "C"):
-            return mpf(1), masses
-        if fam in ("B", "D"):
-            exponent = Q(1, n) if fam == "B" else Q(1, n - 1)
-            return pow_rat(2, exponent, ctx), tuple(m / 2 for m in masses)
-        if fam == "G":
-            return pow_rat(2, Q(-2, 3), ctx), masses
-        if fam == "F" or (fam == "E" and n == 6):
-            # One constant: the terminal values of F4 and E6 agree.
-            c = (pow_rat(2, Q(-5, 4), ctx) * pow_rat(3, Q(1, 8), ctx)
-                 * pow_rat(mp.sqrt(3) - 1, Q(1, 2), ctx))
-            return c, masses
-        if fam == "E" and n == 7:
-            c = pow_rat(2, Q(1, 9), ctx) * pow_rat(3, Q(-1, 6), ctx) * mp.sinpi(mpf(1) / 9)
-            return c, masses
-        # E8: no standalone closed form is quoted for the constant; derive it
-        # from the square identity Gamma(f)^2 = (sine product) * (ratio product)
-        # using the exact ratio value 2**(2/15) 3**(-2/5) 5**(-1/6) at the
-        # terminal node.  Both factors are algebraic, so c stays algebraic.
-        f_last = word_of_root_system(rs, 8)
-        s_prod = evaluate_sine_product(f_last, ctx)
-        ratio = (pow_rat(2, Q(2, 15), ctx) * pow_rat(3, Q(-2, 5), ctx)
-                 * pow_rat(5, Q(-1, 6), ctx))
-        c = mp.sqrt(mp.pi ** 2 * s_prod * ratio)
-        return c, masses
 
 
 def mark_power_product(rs: RootSystem) -> int:
@@ -257,12 +231,11 @@ def verify_pf_eigenvector(rs: RootSystem, ctx: PrecisionContext, tol) -> Verific
             av = sum(mpf(c) * g[j] for j, c in enumerate(row) if c)
             labels.append(f"eigen_row_{i + 1}")
             residuals.append(abs(av - lam * g[i]))
-        masses = mass_vector_closed_form(rs, ctx)
+        masses, constant, profile = _closed_forms(rs.label, ctx)
         base = g[-1] / masses[-1]
         for i in range(rs.rank - 1):
             labels.append(f"ratio_node_{i + 1}")
             residuals.append(abs(g[i] / masses[i] - base))
-        constant, profile = gamma_ratio_profile(rs, ctx)
         for i in range(rs.rank):
             labels.append(f"constant_node_{i + 1}")
             residuals.append(abs(mp.pi * g[i] - constant * profile[i]))
@@ -272,9 +245,9 @@ def verify_pf_eigenvector(rs: RootSystem, ctx: PrecisionContext, tol) -> Verific
 
 
 def affine_theorem(label: RootSystemLabel) -> str:
-    """Theorem that covers the affine masses of a type: 1.2 for the simply
-    laced families, 1.3 for the others."""
-    return "1.2" if label.family in SIMPLY_LACED else "1.3"
+    """Theorem that covers the affine masses of a type: 1.2 for a simply
+    laced type, which is its own cover, 1.3 for the others."""
+    return "1.2" if cover(label)[0] == (label.family, label.rank) else "1.3"
 
 
 def verify_affine_masses(rs: RootSystem, ctx: PrecisionContext, tol) -> VerificationReport:

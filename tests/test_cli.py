@@ -20,6 +20,7 @@ from cartan_gamma import (PrecisionContext, PrimeSite, RootSystemLabel, build_ro
                           psi_order, word_of_root_system)
 from cartan_gamma.cli import VERIFY_CHOICES, default_battery, main
 from cartan_gamma.rootkit import MAX_RANK
+from cartan_gamma.selberg import MAX_ORACLE_DIGITS
 
 
 def run(capsys, *argv):
@@ -364,6 +365,15 @@ def test_selberg_oracle_error_in_a_worker_exits_2(capsys, monkeypatch, cpus):
     assert code == 2
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
     assert multiprocessing.active_children() == []
+
+
+def test_selberg_above_the_oracle_cap_exits_2_before_any_fork(capsys, cpus, forks):
+    cpus(2)
+    code, out, err = run(capsys, "selberg", "--digits", str(MAX_ORACLE_DIGITS + 1))
+    assert (code, out) == (2, "")
+    assert err == (f"error: the quadrature oracles take at most {MAX_ORACLE_DIGITS} digits, "
+                   f"got {MAX_ORACLE_DIGITS + 1}\n")
+    assert forks == []
 
 
 class Interrupted(Exception):

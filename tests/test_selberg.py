@@ -10,7 +10,7 @@ from cartan_gamma import (DomainError, PrecisionContext, QuadratureNotConverged,
                           real_parameter_grid, selberg_complex_closed,
                           selberg_complex_quadrature, selberg_real_closed,
                           selberg_real_quadrature)
-from cartan_gamma.selberg import _jacobi_weighted
+from cartan_gamma.selberg import MAX_ORACLE_DIGITS, _jacobi_weighted
 
 
 def test_params_validation():
@@ -130,6 +130,17 @@ def test_quadrature_guard_follows_the_working_precision(monkeypatch, oracle, par
         else:
             with pytest.raises(QuadratureNotConverged):
                 oracle(params, ctx)
+
+
+@pytest.mark.parametrize("oracle,params", [
+    (selberg_real_quadrature, SelbergParams(Q(1, 2), Q(1, 2), 0, 1)),
+    (selberg_complex_quadrature, SelbergParams(Q(1, 3), Q(1, 3), 0, 1)),
+], ids=["real", "complex"])
+def test_oracles_refuse_digits_above_the_cap(monkeypatch, oracle, params):
+    # The refusal comes before any quadrature.
+    monkeypatch.setattr(mp, "quad", None)
+    with pytest.raises(DomainError, match=f"at most {MAX_ORACLE_DIGITS} digits"):
+        oracle(params, PrecisionContext(MAX_ORACLE_DIGITS + 1))
 
 
 def test_complex_closed_n1(ctx):

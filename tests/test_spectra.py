@@ -4,13 +4,14 @@ import pytest
 from mpmath import mp, mpf
 
 from cartan_gamma import spectra
-from cartan_gamma import (DomainError, NoConvergence, affine_cartan_matrix,
-                          affine_gamma_vector, build_root_system,
+from cartan_gamma import (DomainError, NoConvergence, RootSystemLabel,
+                          affine_cartan_matrix, affine_gamma_vector, build_root_system,
                           gamma_ratio_profile, gamma_vector, lambda_min,
                           mark_power_product, mass_vector_closed_form,
                           pf_power_iteration, pow_rat, verify_affine_masses,
                           verify_membership, verify_pairing_sums,
-                          verify_pf_eigenvector)
+                          verify_pf_eigenvector, word_of_root_system)
+from cartan_gamma.rootkit import cover
 from cartan_gamma.spectra import _positive_inverse
 from conftest import rational_nullspace, rs
 
@@ -227,6 +228,45 @@ def test_terminal_values_agree_between_folded_pairs(ctx):
         d4 = gamma_vector(rs("D4"), ctx)
         assert abs(g2[0] - d4[0]) < tol
         assert abs(g2[1] - d4[1]) < tol
+
+
+FOLDED = ([RootSystemLabel("B", n) for n in range(2, 13)]
+          + [RootSystemLabel("C", n) for n in range(2, 13)]
+          + [RootSystemLabel("F", 4), RootSystemLabel("G", 2)])
+
+
+def nodes_off_the_cover(label, cover_label, nodes, ctx):
+    """Nodes k of a folded type whose exponent word or Gamma value differs
+    from the cover's at node nodes[k-1]."""
+    folded, covering = build_root_system(label), build_root_system(cover_label)
+    mine, theirs = gamma_vector(folded, ctx), gamma_vector(covering, ctx)
+    return [k for k, node in enumerate(nodes, start=1)
+            if word_of_root_system(folded, k) != word_of_root_system(covering, node + 1)
+            or mine[k - 1] != theirs[node]]
+
+
+def test_folded_types_read_their_cover_on_their_nodes(ctx):
+    # One table, rootkit.cover: every word is the cover's and every Gamma
+    # value is bit-equal to the cover's.
+    off = {}
+    for label in FOLDED:
+        (family, rank), nodes = cover(label)
+        assert len(nodes) == label.rank
+        off[str(label)] = nodes_off_the_cover(label, RootSystemLabel(family, rank), nodes, ctx)
+    assert off == {str(label): [] for label in FOLDED}
+    # Control: F4 read on the wrong E6 nodes.
+    assert nodes_off_the_cover(RootSystemLabel("F", 4), RootSystemLabel("E", 6),
+                               (1, 2, 3, 0), ctx) == [2, 3]
+
+
+def test_a_cover_above_the_rank_bound_gives_masses(ctx):
+    # C50 folds A99, beyond MAX_RANK: no such root system, but its closed forms.
+    assert cover(RootSystemLabel("C", 50)) == (("A", 99), tuple(range(50)))
+    masses, constant, profile = spectra._closed_forms(RootSystemLabel("C", 50), ctx)
+    with ctx.working():
+        assert len(masses) == 50 and constant == 1 and profile == masses
+        assert abs(masses[0] - mp.sinpi(mpf(1) / 100)) < ctx.tolerance
+        assert abs(masses[-1] - 1) < ctx.tolerance
 
 
 def test_mark_power_product():
