@@ -11,19 +11,19 @@ takes the angular part as a 2F1, and Euler's transformation makes the
 radial part Beta-weighted; its two integrals share one table of 2F1
 values.  Neither oracle evaluates the closed form's Gamma product;
 mpmath's 2F1 uses its own connection formulas near 1.  cross_validate
-runs a grid's oracles on one pool of forked processes, one per CPU, with
-the same bits as a serial loop, and leaving the pool ends the processes.
+runs a grid's oracles through forked.shared, bit for bit as a serial loop.
 """
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from mpmath import mp, mpf
 
+from . import forked
 from .errors import DomainError, QuadratureNotConverged, require_int, require_rational, show_int
 from .specialfn import PrecisionContext, Rational
 
@@ -217,30 +217,17 @@ def selberg_complex_quadrature(params: SelbergParams, ctx: PrecisionContext):
 
 def cross_validate(real_grid, complex_grid, ctx: PrecisionContext):
     """Quadrature oracle values of the real and of the complex grid, each
-    list in grid order.  The points are independent, so they run on a pool
-    of forked processes, one per usable CPU; with one CPU, or without
-    ``fork``, they run in this process.  The complex points are queued
-    first, as each costs two to four real ones.  Pickling keeps every mpf
-    bit for bit, and an oracle's CartanGammaError is raised again here;
-    above MAX_ORACLE_DIGITS the call raises DomainError before any fork.
-    The workers ignore SIGINT, so Ctrl-C is answered here alone: leaving
-    the pool, with the results or any exception, terminates it."""
-    import multiprocessing
-    import signal
-
+    list in grid order.  The points are independent, so forked.shared runs
+    them on two forked helpers, one from each end, complex points first, as
+    each costs two to four real ones.  A raw mpf keeps every bit, and an
+    oracle's CartanGammaError is raised here; above MAX_ORACLE_DIGITS the
+    call raises DomainError before any fork."""
     _require_oracle_digits(ctx)
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(real_grid) + len(complex_grid), cpus)
-    if workers <= 1 or "fork" not in multiprocessing.get_all_start_methods():
-        complex_values = [selberg_complex_quadrature(p, ctx) for p in complex_grid]
-        return [selberg_real_quadrature(p, ctx) for p in real_grid], complex_values
-    with multiprocessing.get_context("fork").Pool(
-            workers, signal.signal, (signal.SIGINT, signal.SIG_IGN)) as pool:
-        complex_values = pool.starmap_async(
-            selberg_complex_quadrature, [(p, ctx) for p in complex_grid], chunksize=1)
-        real_values = pool.starmap_async(
-            selberg_real_quadrature, [(p, ctx) for p in real_grid], chunksize=1)
-        return real_values.get(), complex_values.get()
+    points = ([partial(selberg_complex_quadrature, p, ctx) for p in complex_grid]
+              + [partial(selberg_real_quadrature, p, ctx) for p in real_grid])
+    with forked.shared(lambda i: points[i]()._mpf_, len(points), 1, helpers=2) as values:
+        values = [mp.make_mpf(v) for v in values]
+    return values[len(complex_grid):], values[:len(complex_grid)]
 
 
 def real_parameter_grid() -> tuple[SelbergParams, ...]:

@@ -1,4 +1,3 @@
-import multiprocessing
 import os
 from fractions import Fraction
 from typing import Iterable
@@ -12,17 +11,15 @@ from cartan_gamma.cli import default_battery
 @pytest.fixture(autouse=True)
 def no_process_outlives_its_test():
     yield
-    assert multiprocessing.active_children() == []
-    # active_children sees only multiprocessing's children, not a raw fork's;
-    # a child left running or unreaped makes waitpid return instead of raise.
+    # A child left running or unreaped makes waitpid return instead of raise.
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Set the CPUs the process may run on: the oracle pool's size, and
-    whether a Gauss sweep forks its root producer."""
+    """Set the CPUs the process may run on, and so whether forked.shared
+    forks its helpers for a Gauss sweep or a Selberg grid."""
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
     return use

@@ -1,7 +1,6 @@
 import hashlib
 import io
 import json
-import multiprocessing
 import os
 import signal
 import subprocess
@@ -336,13 +335,15 @@ def test_commands_in_one_interpreter_print_what_they_print_alone(capsys):
 # json prints every oracle value to full digits; text and csv render the same
 # values, and test_fixed_argument_output_keeps_its_bytes pins all three for selberg.
 @pytest.mark.parametrize("fmt", ["json"])
-def test_selberg_prints_the_same_bytes_with_and_without_the_pool(capsys, cpus, fmt):
+def test_selberg_prints_the_same_bytes_with_and_without_the_pool(capsys, cpus, forks, fmt):
     argv = ["selberg", "--grid", "3", "--digits", "20", "--format", fmt]
     cpus(2)
-    pooled = run(capsys, *argv)
+    helped = run(capsys, *argv)
+    assert len(forks) == 2
     cpus(1)
-    assert run(capsys, *argv) == pooled
-    assert pooled[0] == 0
+    assert run(capsys, *argv) == helped
+    assert helped[0] == 0
+    assert len(forks) == 2
 
 
 def test_jacobi_prints_the_same_bytes_with_and_without_the_root_producer(capsys, cpus, forks):
@@ -357,14 +358,14 @@ def test_jacobi_prints_the_same_bytes_with_and_without_the_root_producer(capsys,
     assert len(forks) == 1
 
 
-def test_selberg_oracle_error_in_a_worker_exits_2(capsys, monkeypatch, cpus):
+def test_selberg_oracle_error_in_a_worker_exits_2(capsys, monkeypatch, cpus, forks):
     # An error estimate as large as the value fails the oracles' guard.
     cpus(2)
     monkeypatch.setattr(mp, "quad", lambda *args, **kwargs: (mpf(1), mpf(1)))
     code, out, err = run(capsys, "selberg", "--grid", "2", "--digits", "20")
     assert code == 2
     assert out == "" and err.startswith("error: ") and "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2
 
 
 def test_selberg_above_the_oracle_cap_exits_2_before_any_fork(capsys, cpus, forks):
@@ -385,14 +386,14 @@ def slow_quad(*args, **kwargs):
     return mpf(1), mpf(1)
 
 
-def test_an_exception_in_the_caller_ends_the_pool_workers(monkeypatch, cpus):
-    # Ctrl-C or a timeout in the caller arrives while both workers are inside
-    # a point; leaving the pool must end them rather than wait for the point.
+def test_an_exception_in_the_caller_ends_the_pool_workers(monkeypatch, cpus, forks):
+    # Ctrl-C or a timeout in the caller arrives while both helpers are inside
+    # a point; leaving the call must end them rather than wait for the point.
     def alarm(signum, frame):
         raise Interrupted
 
     cpus(2)
-    monkeypatch.setattr(mp, "quad", slow_quad)  # before the fork: the workers sleep too
+    monkeypatch.setattr(mp, "quad", slow_quad)  # before the fork: the helpers sleep too
     previous = signal.signal(signal.SIGALRM, alarm)
     signal.setitimer(signal.ITIMER_REAL, 0.5)
     start = time.monotonic()
@@ -403,7 +404,7 @@ def test_an_exception_in_the_caller_ends_the_pool_workers(monkeypatch, cpus):
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 2
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2
 
 
 def run_interrupted(capsys, *argv):
@@ -422,13 +423,13 @@ def test_ctrl_c_ends_a_command_with_an_error_line(capsys, monkeypatch):
     assert run_interrupted(capsys, "roots", "--type", "A2") == (130, "", "error: interrupted\n")
 
 
-def test_ctrl_c_in_selberg_ends_its_workers_and_exits_130(capfd, monkeypatch, cpus):
+def test_ctrl_c_in_selberg_ends_its_workers_and_exits_130(capfd, monkeypatch, cpus, forks):
     # The same alarm as above, through the command.  A terminal's Ctrl-C
-    # reaches the whole process group: the workers get SIGINT and, given
+    # reaches the whole process group: the helpers get SIGINT and, given
     # time to print a traceback, must not; the caller gets KeyboardInterrupt.
     def alarm(signum, frame):
-        for worker in multiprocessing.active_children():
-            os.kill(worker.pid, signal.SIGINT)
+        for pid in forks:
+            os.kill(pid, signal.SIGINT)
         time.sleep(0.2)
         raise KeyboardInterrupt
 
@@ -444,7 +445,7 @@ def test_ctrl_c_in_selberg_ends_its_workers_and_exits_130(capfd, monkeypatch, cp
         signal.signal(signal.SIGALRM, previous)
     assert time.monotonic() - start < 2
     assert (code, out, err) == (130, "", "error: interrupted\n")
-    assert multiprocessing.active_children() == []
+    assert len(forks) == 2
 
 
 def test_ctrl_c_in_jacobi_ends_its_root_producer_and_exits_130(capfd, monkeypatch, cpus, forks):
@@ -482,12 +483,15 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
 
 
 def test_cli_import_loads_no_process_pool():
-    # selberg imports these when it runs: they would add to every start-up.
-    probe = ("import sys, cartan_gamma.cli; pool = {'multiprocessing', "
-             "'concurrent.futures'}; print(sorted(pool & set(sys.modules)))")
+    # Neither the import nor a selberg run, forked helpers and all, loads a
+    # process pool's modules: they would add to start-up and to peak memory.
+    probe = ("import os, sys, cartan_gamma.cli as cli; pool = {'multiprocessing', "
+             "'concurrent.futures'}; print(sorted(pool & set(sys.modules))); "
+             "code = cli.main(['selberg', '--grid', '2', '--digits', '20', '--out', os.devnull]); "
+             "print(code, sorted(pool & set(sys.modules)))")
     done = fresh_interpreter("-c", probe)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.splitlines() == ["[]", "0 []"]
 
 
 LABELS = ["A1", "A12", "B2", "C12", "D4", "E6", "E7", "E8", "F4", "G2", "e6", " D5 ", "A\u0663",

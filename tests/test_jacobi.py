@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import from_man_exp, mpc_mul, mpf_add
 
-from cartan_gamma import jacobi
+from cartan_gamma import forked, jacobi
 from cartan_gamma import (DomainError, GammaWord, NotInC, PrecisionContext, PrimeSite,
                           RootSystemLabel, SearchExhausted, build_root_system, classify,
                           find_site, gauss_sum, hecke_value, jacobi_sum, psi_exponent,
@@ -281,6 +281,30 @@ def test_a_failed_root_producer_never_yields_partial_sums(monkeypatch, cpus, for
     cpus(2)
     assert _sweep(site, ctx) == serial
     assert len(forks) == 1
+
+
+def test_the_far_end_holds_at_most_the_tail_cap(monkeypatch, cpus, forks):
+    # The helper waits before its first root, so this process fills its tail
+    # from the far end, then waits on the pipe instead of growing the tail.
+    site, ctx, cap = PrimeSite(12, 2029), PrecisionContext(20), 3
+    cpus(1)
+    serial = _sweep(site, ctx)
+    parent, cos_sin_pi, calls, slept = os.getpid(), jacobi.mpf_cos_sin_pi, [0], []
+
+    def counted_cos_sin_pi(*args):
+        if os.getpid() == parent:
+            calls[0] += 1
+        elif not slept:
+            time.sleep(0.2)
+            slept.append(True)
+        return cos_sin_pi(*args)
+
+    monkeypatch.setattr(jacobi, "mpf_cos_sin_pi", counted_cos_sin_pi)
+    monkeypatch.setattr(forked, "_TAIL_MAX", cap)
+    cpus(2)
+    assert _sweep(site, ctx) == serial
+    assert len(forks) == 1
+    assert 0 < calls[0] <= cap
 
 
 class Interrupted(Exception):

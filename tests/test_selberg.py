@@ -1,3 +1,7 @@
+import os
+import signal
+import threading
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -219,6 +223,67 @@ def test_complex_quadrature_tracks_working_precision(digits):
         for params, quadrature in zip(grid, oracle):
             closed = selberg_complex_closed(params, ctx)
             assert abs(quadrature - closed) < mpf(10) ** (5 - digits) * abs(closed), params
+
+
+class Hung(Exception):
+    pass
+
+
+@pytest.mark.parametrize("victims", [(0,), (1,), (0, 1)], ids=["front", "back", "both"])
+def test_a_killed_helper_costs_the_grid_only_time(monkeypatch, cpus, forks, victims):
+    # SIGKILL of either helper, or both, mid-grid: this process computes the
+    # points they did not send, with the serial bits.  A second alarm stops
+    # the call should it wait for a dead helper.
+    ctx = PrecisionContext(20)
+    real, complex_ = real_parameter_grid()[:4], complex_parameter_grid()[:2]
+    serial = ([selberg_real_quadrature(p, ctx) for p in real],
+              [selberg_complex_quadrature(p, ctx) for p in complex_])
+    quad, killed = mp.quad, []
+
+    def slow_quad(*args, **kwargs):  # keeps the helpers busy past the kill
+        time.sleep(0.05)
+        return quad(*args, **kwargs)
+
+    def alarm(signum, frame):
+        if killed:
+            raise Hung
+        for i in victims:
+            os.kill(forks[i], signal.SIGKILL)
+        killed.append(True)
+        signal.setitimer(signal.ITIMER_REAL, 4.75)
+
+    monkeypatch.setattr(mp, "quad", slow_quad)
+    cpus(2)
+    previous = signal.signal(signal.SIGALRM, alarm)
+    signal.setitimer(signal.ITIMER_REAL, 0.25)
+    start = time.monotonic()
+    try:
+        values = cross_validate(real, complex_, ctx)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert killed and time.monotonic() - start < 5
+    assert values == serial
+    assert len(forks) == 2
+
+
+def test_cross_validate_forks_nothing_while_another_thread_runs(cpus, forks):
+    # fork would copy this thread alone, whatever the other one holds.
+    ctx = PrecisionContext(20)
+    real, complex_ = real_parameter_grid()[:2], complex_parameter_grid()[:1]
+    cpus(2)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        values = cross_validate(real, complex_, ctx)
+    finally:
+        stop.set()
+        other.join(timeout=5)
+    assert not other.is_alive()
+    assert forks == []
+    assert values == ([selberg_real_quadrature(p, ctx) for p in real],
+                      [selberg_complex_quadrature(p, ctx) for p in complex_])
 
 
 def test_shared_2f1_table_changes_no_bit():
